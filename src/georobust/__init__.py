@@ -3,12 +3,9 @@ super-robust condition checks, perturbative fidelity laws, and open-system
 sweeps."""
 
 from .core import (
-    TimeGrid,
     check_hermitian,
     check_unitary,
     mat_exp_hermitian,
-    propagate_state,
-    propagate_unitary,
 )
 from .errors import (
     ConfigError,
@@ -24,12 +21,7 @@ from .gates import (
     GateSpec,
     PhaseJumpSolution,
     assemble_schedule,
-    build_dg,
-    build_ngqc,
-    build_nhqc,
     build_schedule,
-    build_sr_ngqc,
-    build_sr_nhqc,
     family_build,
     seed_spacing,
     solve_phase_jumps,
@@ -40,7 +32,6 @@ from .lindblad import (
     cardinal_states,
     check_density,
     lindblad_rhs,
-    open_gate_fidelity,
     open_gate_metrics,
     propagate_density,
     standard_channels,
@@ -49,12 +40,7 @@ from .pulses import (
     ErrorModel,
     PulseSchedule,
     PulseSegment,
-    apply_error,
     bright_dark,
-    error_operator,
-    hamiltonian,
-    hamiltonian_2level,
-    hamiltonian_3level,
     load_schedule,
     pulse_area,
     save_schedule,
@@ -82,7 +68,6 @@ from .robustness import (
     quadratic_coefficient,
     src_phasors,
     src_residual,
-    trace_fidelity,
 )
 from .sweep import (
     SweepConfig,

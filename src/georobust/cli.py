@@ -51,7 +51,7 @@ def load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -146,13 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.set_defaults(func=cmd_sweep_grid)
 
     p_table = sub.add_parser("report-table1", help="gate times and error-scaling laws")
-    p_table.add_argument("--steps-per-pi", type=int, dest="steps_per_pi", default=2000)
     p_table.set_defaults(func=cmd_report_table1)
 
-    p_src = sub.add_parser("check-src", help="closed-form vs numerical SRC residuals")
+    p_src = sub.add_parser("check-src", help="closed-form vs segment-sum SRC residuals")
     p_src.add_argument("--families", "--family", dest="families", metavar="LIST")
     p_src.add_argument("--gate", default="not", choices=sorted(NAMED_GATES))
-    p_src.add_argument("--steps-per-pi", type=int, dest="steps_per_pi", default=2000)
     p_src.set_defaults(func=cmd_check_src)
 
     return parser
@@ -204,7 +202,7 @@ def cmd_sweep_grid(args) -> int:
 
 
 def cmd_report_table1(args) -> int:
-    sys.stdout.write(report_table1(steps_per_pi=args.steps_per_pi))
+    sys.stdout.write(report_table1())
     return 0
 
 
@@ -213,7 +211,7 @@ def cmd_check_src(args) -> int:
     for fam in families:
         if fam not in FAMILIES:
             raise ConfigError(f"unknown family {fam!r}, expected one of {FAMILIES}")
-    text, ok = check_src_report(families, gate=args.gate, steps_per_pi=args.steps_per_pi)
+    text, ok = check_src_report(families, gate=args.gate)
     sys.stdout.write(text)
     return 0 if ok else 2
 
@@ -223,13 +221,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except SerializationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
+    except (ConfigError, SerializationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except SolverError as exc:

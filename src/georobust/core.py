@@ -1,14 +1,13 @@
-"""Dense linear algebra and unitary propagation for small driven systems.
+"""Dense linear algebra for small driven systems: Hermitian and unitary
+checks and the Hermitian matrix exponential.
 
 Everything operates on plain complex ndarrays of shape (d, d), with d = 2 or 3
-in practice. Propagation uses midpoint-sampled step exponentials: exact on any
-interval where the Hamiltonian is constant, second-order accurate for smooth
-drives.
+in practice. Schedules are piecewise constant, so their propagators are
+products of segment exponentials (pulses.segment_propagator) and need no time
+stepping here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,89 +44,10 @@ def check_unitary(op: np.ndarray, tol: float = UNITARY_TOL, name: str = "operato
 def mat_exp_hermitian(ham: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Return exp(-1j * scale * ham) for a Hermitian matrix, via eigendecomposition.
 
-    Exact up to the eigensolver's accuracy; used for both single-segment
-    propagators and integrator steps.
+    Exact up to the eigensolver's accuracy; used for the step exponentials of
+    the custom-V(t) quadrature in robustness.d_matrix and magnus_terms.
     """
     ham = np.asarray(ham, dtype=complex)
     check_hermitian(ham, name="mat_exp_hermitian argument")
     w, v = np.linalg.eigh(ham)
     return (v * np.exp(-1j * scale * w)) @ v.conj().T
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid of `steps` integration steps on [t_start, t_end]."""
-
-    t_start: float
-    t_end: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        if int(self.steps) != self.steps or self.steps < 1:
-            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
-        if not self.t_end > self.t_start:
-            raise ValueError(
-                f"t_end must exceed t_start, got [{self.t_start!r}, {self.t_end!r}]"
-            )
-
-    @property
-    def step(self) -> float:
-        return (self.t_end - self.t_start) / self.steps
-
-    @property
-    def times(self) -> np.ndarray:
-        """The steps + 1 grid points, endpoints included."""
-        return np.linspace(self.t_start, self.t_end, self.steps + 1)
-
-
-def _sample(hamiltonian, t: float) -> np.ndarray:
-    ham = np.asarray(hamiltonian(t), dtype=complex)
-    if ham.ndim != 2 or ham.shape[0] != ham.shape[1]:
-        raise ValueError(f"Hamiltonian at t={t!r} is not square: shape {ham.shape}")
-    if not np.all(np.isfinite(ham)):
-        raise ValueError(f"Hamiltonian at t={t!r} contains NaN or Inf")
-    return ham
-
-
-def propagate_unitary(hamiltonian, grid: TimeGrid, return_trajectory: bool = False):
-    """Time-ordered propagator U(t_end, t_start) for H(t) = hamiltonian(t).
-
-    Each step multiplies on the left by exp(-1j * H(t_mid) * dt) with t_mid the
-    step midpoint. With return_trajectory=True, returns (times, traj) where
-    traj[k] is U(times[k], t_start), traj[0] = identity.
-    """
-    dt = grid.step
-    times = grid.times
-    ham0 = _sample(hamiltonian, times[0] + dt / 2.0)
-    dim = ham0.shape[0]
-    u = np.eye(dim, dtype=complex)
-    traj = [u] if return_trajectory else None
-    for k in range(grid.steps):
-        ham = ham0 if k == 0 else _sample(hamiltonian, times[k] + dt / 2.0)
-        u = mat_exp_hermitian(ham, dt) @ u
-        if return_trajectory:
-            traj.append(u)
-    check_unitary(u, UNITARY_TOL, name="propagator")
-    if return_trajectory:
-        return times, np.array(traj)
-    return u
-
-
-def propagate_state(hamiltonian, grid: TimeGrid, psi0: np.ndarray):
-    """Integrate a state through H(t); returns (times, traj) with traj[0] = psi0.
-
-    Uses the same midpoint-sampled step exponentials as propagate_unitary, so
-    traj[-1] agrees with propagate_unitary(...) @ psi0 to machine precision.
-    """
-    psi = np.asarray(psi0, dtype=complex).copy()
-    dt = grid.step
-    times = grid.times
-    traj = [psi.copy()]
-    for k in range(grid.steps):
-        ham = _sample(hamiltonian, times[k] + dt / 2.0)
-        psi = mat_exp_hermitian(ham, dt) @ psi
-        traj.append(psi.copy())
-    norm = float(np.linalg.norm(traj[-1]))
-    if abs(norm - np.linalg.norm(psi0)) > UNITARY_TOL:
-        raise InvariantError(f"state norm drifted to {norm!r} during propagation")
-    return times, np.array(traj)

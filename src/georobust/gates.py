@@ -126,8 +126,7 @@ def _check_family(family: str) -> None:
 def _family_layout(family: str, spec: GateSpec):
     """(areas, phase-variable index per segment, system, frame theta, frame phi)."""
     if family == "dg":
-        gamma = spec.gamma % _TWO_PI
-        return [gamma], [0], TWO_LEVEL, 0.0, 0.0
+        return [_dg_angle(spec)], [0], TWO_LEVEL, 0.0, 0.0
     if family == "ngqc":
         th = spec.theta
         return [math.pi - th, math.pi, th], [0, 1, 0], TWO_LEVEL, th, 0.0
@@ -182,8 +181,8 @@ def _solution_scalars(family: str, spec: GateSpec, phases) -> tuple[float, float
     n_src = 2 if family in SR_FAMILIES else 0
     gate_res = float(np.linalg.norm(vec[: len(vec) - n_src]))
     sched = assemble_schedule(family, spec, phases)
-    src_res = abs(src_residual(sched)) if sched.segments else 0.0
-    dyn_res = float(np.max(np.abs(dynamical_integrals(sched)))) if sched.segments else 0.0
+    src_res = abs(src_residual(sched))
+    dyn_res = float(np.max(np.abs(dynamical_integrals(sched))))
     return gate_res, src_res, dyn_res
 
 
@@ -245,15 +244,20 @@ def seed_spacing(override: float | None = None) -> float:
     return value
 
 
-def _dg_solution(spec: GateSpec, tol: float) -> PhaseJumpSolution:
+def _dg_angle(spec: GateSpec) -> float:
+    """The dg pulse area: gamma reduced to [0, 2*pi), with a full turn read as 0."""
     gamma = spec.gamma % _TWO_PI
-    if gamma < 1e-12 or _TWO_PI - gamma < 1e-12:
+    return 0.0 if _TWO_PI - gamma < 1e-12 else gamma
+
+
+def _dg_solution(spec: GateSpec, tol: float) -> PhaseJumpSolution:
+    if _dg_angle(spec) < 1e-12:
         return PhaseJumpSolution(
             family="dg", phases=(), residual_gate=0.0, residual_src=0.0,
             residual_dynamical=0.0, converged=True, iterations=0, seed=None,
         )
     if abs(spec.theta - math.pi / 2) > 1e-9:
-        raise ValueError(
+        raise ConfigError(
             "dg realizes only equatorial rotation axes with a resonant drive "
             f"(axis polar angle {spec.theta!r} needs detuning)"
         )
@@ -331,46 +335,13 @@ def build_schedule(family: str, spec: GateSpec, seed_grid: float | None = None) 
             f"phi={spec.phi!r}), gamma={spec.gamma!r}: best residual_gate="
             f"{sol.residual_gate:.3e}, residual_src={sol.residual_src:.3e}"
         )
-    return assemble_schedule(family, spec, _expand_phases(family, sol.phases))
-
-
-def _expand_phases(family: str, phases: tuple[float, ...]):
-    """Pad the (possibly empty) phase tuple to the family's variable count."""
-    n = _n_vars(family)
-    if len(phases) == n:
-        return phases
-    if family == "dg" and not phases:
-        return (0.0,)
-    raise ValueError(f"{family} expects {n} phases, got {len(phases)}")
-
-
-def build_dg(spec: GateSpec) -> PulseSchedule:
-    """One resonant segment (or an empty schedule for the identity)."""
-    sol = _dg_solution(spec, DEFAULT_TOL)
-    if not sol.phases:
-        return PulseSchedule(system=TWO_LEVEL, segments=(), theta=0.0, phi=0.0)
-    return assemble_schedule("dg", spec, sol.phases)
-
-
-def build_ngqc(spec: GateSpec) -> PulseSchedule:
-    return build_schedule("ngqc", spec)
-
-
-def build_sr_ngqc(spec: GateSpec) -> PulseSchedule:
-    return build_schedule("sr-ngqc", spec)
-
-
-def build_nhqc(spec: GateSpec) -> PulseSchedule:
-    return build_schedule("nhqc", spec)
-
-
-def build_sr_nhqc(spec: GateSpec) -> PulseSchedule:
-    return build_schedule("sr-nhqc", spec)
+    return assemble_schedule(family, spec, sol.phases)
 
 
 def family_build(family: str, spec: GateSpec) -> PulseSchedule:
-    """Dispatch by family name (the CLI entry point)."""
-    _check_family(family)
-    if family == "dg":
-        return build_dg(spec)
+    """Solve and assemble by family name (the CLI entry point).
+
+    The dg identity is an empty schedule: its single segment has zero area
+    and is dropped before its phase is read.
+    """
     return build_schedule(family, spec)

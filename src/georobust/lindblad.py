@@ -182,12 +182,3 @@ def open_gate_metrics(
     leak = pops[:, 2:].sum(axis=1) if dim > 2 else np.zeros(len(psis))
     return float(fid.mean()), float(leak.mean())
 
-
-def open_gate_fidelity(
-    schedule: PulseSchedule,
-    channels=(),
-    beta: float = 0.0,
-    steps_per_pi: int = 2000,
-) -> float:
-    """Average cardinal-state fidelity (see open_gate_metrics)."""
-    return open_gate_metrics(schedule, channels, beta=beta, steps_per_pi=steps_per_pi)[0]

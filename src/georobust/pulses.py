@@ -131,27 +131,6 @@ def segment_hamiltonian(schedule: PulseSchedule, seg: PulseSegment, scale: float
     return ham + ham.conj().T
 
 
-def hamiltonian_2level(schedule: PulseSchedule, t: float) -> np.ndarray:
-    """Resonant two-level drive Hamiltonian at time t."""
-    if schedule.system != TWO_LEVEL:
-        raise ValueError(f"expected a {TWO_LEVEL!r} schedule, got {schedule.system!r}")
-    return segment_hamiltonian(schedule, schedule.segments[schedule.segment_index(t)])
-
-
-def hamiltonian_3level(schedule: PulseSchedule, t: float) -> np.ndarray:
-    """Lambda-system drive Hamiltonian at time t (bright state <-> excited state)."""
-    if schedule.system != LAMBDA:
-        raise ValueError(f"expected a {LAMBDA!r} schedule, got {schedule.system!r}")
-    return segment_hamiltonian(schedule, schedule.segments[schedule.segment_index(t)])
-
-
-def hamiltonian(schedule: PulseSchedule, t: float) -> np.ndarray:
-    """Dispatch to the two-level or Lambda-system Hamiltonian."""
-    if schedule.system == TWO_LEVEL:
-        return hamiltonian_2level(schedule, t)
-    return hamiltonian_3level(schedule, t)
-
-
 @dataclass(frozen=True)
 class ErrorModel:
     """Systematic control error H' = H + beta * V.
@@ -188,23 +167,6 @@ class ErrorModel:
     @classmethod
     def custom(cls, beta: float, v) -> "ErrorModel":
         return cls(kind="custom", beta=beta, v=v)
-
-
-def error_operator(schedule: PulseSchedule, error: ErrorModel, t: float) -> np.ndarray:
-    """The perturbation V(t) of H' = H + beta * V."""
-    if error.kind == "global_rabi":
-        return hamiltonian(schedule, t)
-    return np.asarray(error.v(t), dtype=complex)
-
-
-def apply_error(schedule: PulseSchedule, error: ErrorModel | None):
-    """Return a callable t -> H(t) + beta * V(t) suitable for the propagators."""
-    if error is None or error.beta == 0.0:
-        return lambda t: hamiltonian(schedule, t)
-    if error.kind == "global_rabi":
-        scale = 1.0 + error.beta
-        return lambda t: scale * hamiltonian(schedule, t)
-    return lambda t: hamiltonian(schedule, t) + error.beta * np.asarray(error.v(t), dtype=complex)
 
 
 def segment_propagator(schedule: PulseSchedule, seg: PulseSegment, scale: float = 1.0) -> np.ndarray:

@@ -29,11 +29,15 @@ Both frames satisfy the Schrodinger equation segment-by-segment up to a pure
 gauge phase and have identically vanishing diagonal drive elements, so the
 dynamical phase is erased by construction.
 
-For resonant drives the D-matrix integrand is piecewise constant: on segment j
-the only nonzero off-diagonal element is (area_j / 2) e^{i Theta_j} with a
-phasor angle Theta_j that jumps by +/- the segment phase jump at each frame
-pole crossing. src_residual() evaluates that closed-form phasor sum; d_matrix()
-integrates the same quantity numerically from propagated states.
+For the global Rabi error V = H the interaction-picture operator
+U^dag(t) H_j U(t) is constant on segment j, because H_j commutes with its own
+exponential. D and the second-order Magnus term are then exact finite sums
+over segments (see _segment_sums); no time grid is involved. In the frame
+basis the only nonzero off-diagonal element of segment j's term is
+(area_j / 2) e^{i Theta_j}, with a phasor angle Theta_j that jumps by +/- the
+segment phase jump at each frame pole crossing. src_residual() evaluates that
+closed-form phasor sum; d_matrix() evaluates the segment sum of propagated
+drive operators. Only a custom, time-dependent V(t) needs quadrature.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeGrid, mat_exp_hermitian
+from .core import mat_exp_hermitian
 from .errors import InvariantError
 from .pulses import (
     LAMBDA,
@@ -55,6 +59,7 @@ from .pulses import (
     pulse_area,
     schedule_propagator,
     segment_hamiltonian,
+    segment_propagator,
 )
 
 SRC_ALIGNMENT_TOL = 1e-9
@@ -123,37 +128,61 @@ def _frame_in_segment(schedule: PulseSchedule, seg_index: int, t: float) -> np.n
     return np.column_stack([dark, mu2, mu3])
 
 
-def _segment_grids(schedule: PulseSchedule, steps_per_pi: int) -> list[TimeGrid]:
-    bounds = schedule.boundaries()
-    grids = []
-    for j, seg in enumerate(schedule.segments):
-        steps = max(1, math.ceil(steps_per_pi * seg.duration / math.pi))
-        grids.append(TimeGrid(float(bounds[j]), float(bounds[j + 1]), steps))
-    return grids
+def _error_model(error: ErrorModel | None) -> ErrorModel:
+    return error if error is not None else ErrorModel.global_rabi(0.0)
 
 
-def _ideal_trajectories(schedule: PulseSchedule, steps_per_pi: int):
-    """Per-segment ideal propagator trajectories U(t, 0), boundary-aligned.
+def _segment_sums(schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """Exact lab-basis (D_op, G_op) of magnus_terms for the global Rabi error.
 
-    Yields (times, traj, seg) per segment with traj[k] = U(times[k], 0); exact
-    per step because H is constant inside each segment.
+    On segment j, U(t) = exp(-i H_j s) U_{j-1} and H_j commutes with its own
+    exponential, so V_H = U_{j-1}^dag H_j U_{j-1} is constant and integrates
+    to A_j = tau_j V_H. Inside the segment D(t) grows linearly from D_{j-1}
+    (the sum over earlier segments) to D_{j-1} + A_j, so the segment's
+    commutator integral is exactly [A_j, D_{j-1}].
     """
     dim = schedule.dim
     u = np.eye(dim, dtype=complex)
+    d_op = np.zeros((dim, dim), dtype=complex)
+    g_comm = np.zeros((dim, dim), dtype=complex)
+    for seg in schedule.segments:
+        a_j = seg.duration * (u.conj().T @ segment_hamiltonian(schedule, seg) @ u)
+        g_comm += a_j @ d_op - d_op @ a_j
+        d_op += a_j
+        u = segment_propagator(schedule, seg) @ u
+    return d_op, g_comm + d_op @ d_op
+
+
+def _custom_samples(schedule: PulseSchedule, v, steps_per_pi: int):
+    """Interaction-picture samples of a custom V(t), one entry per segment.
+
+    Each entry is (dt, v_h) with v_h[k] = U^dag(t_k) V(t_k) U(t_k) on a uniform
+    grid of the segment. The step count is rounded up to even, so the
+    even-indexed samples form the grid twice as coarse. U is exact per step
+    because H is constant inside each segment.
+    """
+    dim = schedule.dim
+    bounds = schedule.boundaries()
+    u = np.eye(dim, dtype=complex)
     out = []
-    for seg, grid in zip(schedule.segments, _segment_grids(schedule, steps_per_pi)):
-        step_u = mat_exp_hermitian(segment_hamiltonian(schedule, seg), grid.step)
-        traj = np.empty((grid.steps + 1, dim, dim), dtype=complex)
+    for j, seg in enumerate(schedule.segments):
+        steps = max(1, math.ceil(steps_per_pi * seg.duration / math.pi))
+        steps += steps % 2
+        times = np.linspace(bounds[j], bounds[j + 1], steps + 1)
+        dt = times[1] - times[0]
+        step_u = mat_exp_hermitian(segment_hamiltonian(schedule, seg), dt)
+        traj = np.empty((steps + 1, dim, dim), dtype=complex)
         traj[0] = u
-        for k in range(grid.steps):
+        for k in range(steps):
             traj[k + 1] = step_u @ traj[k]
         u = traj[-1]
-        out.append((grid.times, traj, seg))
+        v_t = np.array([np.asarray(v(t), dtype=complex) for t in times])
+        out.append((dt, np.einsum("tji,tjk,tkm->tim", traj.conj(), v_t, traj)))
     return out
 
 
-def _error_model(error: ErrorModel | None) -> ErrorModel:
-    return error if error is not None else ErrorModel.global_rabi(0.0)
+def _trapezoid(dt: float, samples: np.ndarray) -> np.ndarray:
+    return dt * (samples.sum(axis=0) - 0.5 * (samples[0] + samples[-1]))
 
 
 def d_matrix(
@@ -165,43 +194,36 @@ def d_matrix(
     """First-order error matrix D in the frame-state basis (full square matrix).
 
     error selects V (its beta is irrelevant here); the default is the global
-    Rabi error V = H. With validate=True the integral is recomputed on a grid
-    half as fine and the two must agree, guarding against a too-coarse grid
-    when V is time-dependent.
+    Rabi error V = H, whose D is the exact segment sum of propagated drive
+    operators. steps_per_pi and validate apply to ErrorModel.custom only:
+    its V(t) is integrated by the trapezoid rule on one propagated
+    trajectory, and with validate=True the even-indexed samples are
+    integrated again on the grid twice as coarse and the two must agree,
+    guarding against a too-coarse grid.
     """
-    result = _d_matrix_once(schedule, error, steps_per_pi)
-    if validate and schedule.segments:
-        coarse = _d_matrix_once(schedule, error, max(50, steps_per_pi // 2))
-        scale = max(1.0, float(np.linalg.norm(result)))
-        dev = float(np.linalg.norm(result - coarse))
-        # Trapezoid error is O(h^2), so the half-grid gap is about 3x the
-        # error of the fine result; 1e-5 here bounds that error near 3e-6.
-        if dev > 1e-5 * scale:
-            raise InvariantError(
-                f"d_matrix grid not converged: |D_fine - D_coarse| = {dev:.3e} "
-                f"(tolerance {1e-5 * scale:.1e}); increase steps_per_pi"
-            )
-    return result
-
-
-def _d_matrix_once(schedule: PulseSchedule, error: ErrorModel | None, steps_per_pi: int) -> np.ndarray:
-    err = _error_model(error)
     dim = schedule.dim
     if not schedule.segments:
         return np.zeros((dim, dim), dtype=complex)
+    err = _error_model(error)
+    if err.kind == "global_rabi":
+        d_lab = _segment_sums(schedule)[0]
+    else:
+        samples = _custom_samples(schedule, err.v, steps_per_pi)
+        d_lab = sum(_trapezoid(dt, v_h) for dt, v_h in samples)
+        if validate:
+            coarse = sum(_trapezoid(2.0 * dt, v_h[::2]) for dt, v_h in samples)
+            # the Frobenius norm is the same in the lab and frame bases
+            scale = max(1.0, float(np.linalg.norm(d_lab)))
+            dev = float(np.linalg.norm(d_lab - coarse))
+            # Trapezoid error is O(h^2), so the half-grid gap is about 3x the
+            # error of the fine result; 1e-5 here bounds that error near 3e-6.
+            if dev > 1e-5 * scale:
+                raise InvariantError(
+                    f"d_matrix grid not converged: |D_fine - D_coarse| = {dev:.3e} "
+                    f"(tolerance {1e-5 * scale:.1e}); increase steps_per_pi"
+                )
     frame0 = auxiliary_frame(schedule, 0.0)
-    total = np.zeros((dim, dim), dtype=complex)
-    for times, traj, seg in _ideal_trajectories(schedule, steps_per_pi):
-        states = traj @ frame0
-        if err.kind == "global_rabi":
-            v_op = segment_hamiltonian(schedule, seg)
-            integrand = np.einsum("tik,ij,tjm->tkm", states.conj(), v_op, states)
-        else:
-            v_t = np.array([np.asarray(err.v(t), dtype=complex) for t in times])
-            integrand = np.einsum("tik,tij,tjm->tkm", states.conj(), v_t, states)
-        dt = times[1] - times[0]
-        total += dt * (integrand.sum(axis=0) - 0.5 * (integrand[0] + integrand[-1]))
-    return total
+    return frame0.conj().T @ d_lab @ frame0
 
 
 def _boundary_parities(schedule: PulseSchedule) -> np.ndarray | None:
@@ -246,39 +268,28 @@ def src_residual(schedule: PulseSchedule) -> complex:
     """The SRC off-diagonal element from the closed-form phasor sum.
 
     Equals d_matrix()[0, 1] for two-level schedules and d_matrix()[1, 2] for
-    Lambda schedules under the global Rabi error. Falls back to the numerical
-    integral (with a warning) when the closed form does not apply.
+    Lambda schedules under the global Rabi error. Falls back to d_matrix's
+    exact segment sum (with a warning) when the closed form does not apply.
     """
     try:
         return complex(src_phasors(schedule).sum())
     except ValueError:
         warnings.warn(
-            "phase jumps off the frame poles: falling back to numerical d_matrix",
+            "phase jumps off the frame poles: falling back to the d_matrix segment sum",
             stacklevel=2,
         )
         d_op = d_matrix(schedule)
         return complex(d_op[0, 1] if schedule.system == TWO_LEVEL else d_op[1, 2])
 
 
-def dynamical_integrals(schedule: PulseSchedule, samples_per_segment: int = 64) -> np.ndarray:
+def dynamical_integrals(schedule: PulseSchedule) -> np.ndarray:
     """Integrals of the drive's frame-diagonal elements, one per frame state.
 
-    These vanish identically for resonant drives (parallel transport); the
-    numerical quadrature returns roundoff-level values and exists as a check.
+    This is the diagonal D[k, k] of d_matrix(), the parallel-transport
+    condition. It vanishes identically for resonant drives; the exact segment
+    sum returns roundoff-level values and exists as a check.
     """
-    dim = schedule.dim
-    totals = np.zeros(dim, dtype=complex)
-    bounds = schedule.boundaries()
-    for j, seg in enumerate(schedule.segments):
-        ts = np.linspace(bounds[j], bounds[j + 1], samples_per_segment)
-        vals = np.empty((len(ts), dim), dtype=complex)
-        ham = segment_hamiltonian(schedule, seg)
-        for i, t in enumerate(ts):
-            frame = _frame_in_segment(schedule, j, t)
-            vals[i] = np.einsum("ik,ij,jk->k", frame.conj(), ham, frame)
-        dt = ts[1] - ts[0] if len(ts) > 1 else seg.duration
-        totals += dt * (vals.sum(axis=0) - 0.5 * (vals[0] + vals[-1]))
-    return totals
+    return np.diag(d_matrix(schedule)).copy()
 
 
 def magnus_terms(
@@ -295,23 +306,19 @@ def magnus_terms(
 
     The perturbed propagator is then
     U'(tau) = U(tau) (1 - i beta D_op - (beta^2/2) G_op) + O(beta^3).
+    The global Rabi error (the default) is summed exactly over segments;
+    steps_per_pi sets the trapezoid grid for ErrorModel.custom only.
     """
     err = _error_model(error)
+    if err.kind == "global_rabi":
+        return _segment_sums(schedule)
     dim = schedule.dim
     d_cum = np.zeros((dim, dim), dtype=complex)
     g_comm = np.zeros((dim, dim), dtype=complex)
-    for times, traj, seg in _ideal_trajectories(schedule, steps_per_pi):
-        if err.kind == "global_rabi":
-            v_op = segment_hamiltonian(schedule, seg)
-            v_h = np.einsum("tji,jk,tkm->tim", traj.conj(), v_op, traj)
-        else:
-            v_t = np.array([np.asarray(err.v(t), dtype=complex) for t in times])
-            v_h = np.einsum("tji,tjk,tkm->tim", traj.conj(), v_t, traj)
-        dt = times[1] - times[0]
+    for dt, v_h in _custom_samples(schedule, err.v, steps_per_pi):
         incr = 0.5 * dt * (v_h[1:] + v_h[:-1])
         d_t = np.concatenate([[d_cum], d_cum + np.cumsum(incr, axis=0)])
-        comm = v_h @ d_t - d_t @ v_h
-        g_comm += dt * (comm.sum(axis=0) - 0.5 * (comm[0] + comm[-1]))
+        g_comm += _trapezoid(dt, v_h @ d_t - d_t @ v_h)
         d_cum = d_t[-1]
     return d_cum, g_comm + d_cum @ d_cum
 
@@ -349,18 +356,11 @@ def gate_fidelity(u_actual: np.ndarray, u_target: np.ndarray, subspace_dim: int 
     return float(abs(np.trace(block_t.conj().T @ block_a)) / m)
 
 
-def trace_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray) -> float:
-    """Full-dimension trace fidelity |Tr(U_ideal^dag U_actual)| / d."""
-    u_actual = np.asarray(u_actual)
-    d = u_actual.shape[0]
-    return float(abs(np.trace(np.asarray(u_ideal).conj().T @ u_actual)) / d)
-
-
 def propagator_fidelity(schedule: PulseSchedule, beta: float) -> float:
     """Trace fidelity of the beta-perturbed schedule against its own ideal."""
     u0 = schedule_propagator(schedule)
     ub = schedule_propagator(schedule, beta)
-    return trace_fidelity(ub, u0)
+    return gate_fidelity(ub, u0)
 
 
 def leakage(schedule: PulseSchedule, beta: float = 0.0) -> float:

@@ -98,14 +98,10 @@ def beta_grid(config: SweepConfig) -> np.ndarray:
     return np.linspace(config.beta_min, config.beta_max, config.beta_points)
 
 
-def gate_spec(config: SweepConfig) -> GateSpec:
-    return NAMED_GATES[config.gate]
-
-
 def sweep_point(family: str, gate: str, beta: float, gamma: float, steps_per_pi: int) -> SweepRow:
     """One (family, beta, gamma) measurement. Module-level so worker processes can run it."""
     schedule = family_build(family, NAMED_GATES[gate])
-    src = abs(src_residual(schedule)) if schedule.segments else 0.0
+    src = abs(src_residual(schedule))
     if gamma == 0.0:
         fid = propagator_fidelity(schedule, beta)
         leak = leakage(schedule, beta)
@@ -219,7 +215,7 @@ def write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def report_table1(steps_per_pi: int = 2000) -> str:
+def report_table1() -> str:
     """Gate times and error-scaling laws of the five NOT constructions.
 
     Quadratic families report the fitted beta^2 coefficient against its
@@ -263,17 +259,16 @@ def report_table1(steps_per_pi: int = 2000) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_src_report(
-    families=FAMILIES, gate: str = "not", steps_per_pi: int = 2000
-) -> tuple[str, bool]:
-    """Closed-form vs numerical SRC residuals; ok only if every sr-* family passes 1e-6."""
+def check_src_report(families=FAMILIES, gate: str = "not") -> tuple[str, bool]:
+    """Closed-form phasor sums vs the exact d_matrix segment sums of the SRC
+    element; ok only if every sr-* family passes 1e-6."""
     spec = NAMED_GATES[gate]
     lines = [f"{'family':<9} {'closed form':<14} {'numeric':<14} {'difference':<12} status"]
     all_ok = True
     for family in families:
         schedule = family_build(family, spec)
-        closed = abs(src_residual(schedule)) if schedule.segments else 0.0
-        d_op = d_matrix(schedule, steps_per_pi=steps_per_pi)
+        closed = abs(src_residual(schedule))
+        d_op = d_matrix(schedule)
         idx = (0, 1) if schedule.system == "two" else (1, 2)
         numeric = abs(complex(d_op[idx]))
         agree = abs(closed - numeric)

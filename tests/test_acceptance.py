@@ -15,17 +15,14 @@ from georobust import (
     ErrorModel,
     GateSpec,
     SweepConfig,
-    TimeGrid,
     d_matrix,
     family_build,
     fidelity_prediction,
     gate_fidelity,
     geometric_phase,
-    hamiltonian,
     magnus_gate_approx,
-    open_gate_fidelity,
+    open_gate_metrics,
     order_fit,
-    propagate_unitary,
     propagator_fidelity,
     quadratic_coefficient,
     rows_to_csv,
@@ -37,6 +34,7 @@ from georobust import (
     target_unitary,
 )
 from georobust.pulses import PulseSchedule, PulseSegment
+from oracles import integrate_schedule
 
 STEPS_PER_PI = 2000
 FAMILIES = ("dg", "ngqc", "sr-ngqc", "nhqc", "sr-nhqc")
@@ -53,17 +51,6 @@ def verdict(num, ok, detail):
 @pytest.fixture(scope="module")
 def schedules():
     return {fam: family_build(fam, NOT) for fam in FAMILIES}
-
-
-def integrate_schedule(sched, steps_per_pi):
-    """Propagator by direct time-ordered integration, segment-aligned grids."""
-    bounds = sched.boundaries()
-    u = np.eye(sched.dim, dtype=complex)
-    for j, seg in enumerate(sched.segments):
-        steps = max(1, math.ceil(steps_per_pi * seg.duration / math.pi))
-        grid = TimeGrid(float(bounds[j]), float(bounds[j + 1]), steps)
-        u = propagate_unitary(lambda t: hamiltonian(sched, t), grid) @ u
-    return u
 
 
 def test_criterion_01_builds(schedules):
@@ -206,16 +193,16 @@ def test_criterion_10_decoherence_tradeoff(schedules):
     infid = {}
     for fam in ("dg", "ngqc", "sr-ngqc"):
         channels = standard_channels("two", gamma, gamma)
-        infid[fam] = 1.0 - open_gate_fidelity(schedules[fam], channels, beta=0.0,
-                                              steps_per_pi=STEPS_PER_PI)
+        infid[fam] = 1.0 - open_gate_metrics(schedules[fam], channels, beta=0.0,
+                                             steps_per_pi=STEPS_PER_PI)[0]
     ordered = infid["dg"] < infid["ngqc"] < infid["sr-ngqc"]
 
     def gap(beta):
         channels = standard_channels("two", gamma, gamma)
-        f_sr = open_gate_fidelity(schedules["sr-ngqc"], channels, beta=beta,
-                                  steps_per_pi=STEPS_PER_PI)
-        f_dg = open_gate_fidelity(schedules["dg"], channels, beta=beta,
-                                  steps_per_pi=STEPS_PER_PI)
+        f_sr = open_gate_metrics(schedules["sr-ngqc"], channels, beta=beta,
+                                 steps_per_pi=STEPS_PER_PI)[0]
+        f_dg = open_gate_metrics(schedules["dg"], channels, beta=beta,
+                                 steps_per_pi=STEPS_PER_PI)[0]
         return f_sr - f_dg
 
     low, high = gap(0.005), gap(0.03)

@@ -1,0 +1,46 @@
+"""The public names of the georobust package.
+
+The set is pinned so that adding or removing a public name is a deliberate
+edit here. The benchmark harness drives the package through a few of these
+names, which must keep working.
+"""
+
+import types
+
+import georobust
+import georobust.cli
+
+PUBLIC_NAMES = {
+    "AuxiliaryBasis", "CollapseChannel", "ConfigError", "ErrorModel", "FAMILIES",
+    "GateSpec", "GeorobustError", "InvariantError", "NAMED_GATES", "PhaseJumpSolution",
+    "PulseSchedule", "PulseSegment", "SR_FAMILIES", "SerializationError", "SolverError",
+    "SweepConfig", "SweepRow", "assemble_schedule", "auxiliary_basis", "auxiliary_frame",
+    "beta_grid", "bright_dark", "build_schedule", "cardinal_states", "check_density",
+    "check_hermitian", "check_src_report", "check_unitary", "d_matrix", "delta_rows",
+    "deltas_to_csv", "dynamical_integrals", "family_build", "fidelity_prediction",
+    "frame_anchor", "gate_fidelity", "geometric_phase", "leakage", "lindblad_rhs",
+    "load_schedule", "magnus_gate_approx", "magnus_terms", "mat_exp_hermitian",
+    "open_gate_metrics", "order_fit", "propagate_density", "propagator_fidelity",
+    "pulse_area", "quadratic_coefficient", "report_table1", "rows_to_csv", "run_sweep",
+    "save_schedule", "schedule_from_text", "schedule_propagator", "schedule_to_text",
+    "seed_spacing", "segment_hamiltonian", "segment_propagator", "solve_phase_jumps",
+    "src_phasors", "src_residual", "standard_channels", "sweep_beta", "sweep_grid",
+    "sweep_point", "target_unitary",
+}
+
+
+def test_public_names_are_pinned():
+    public = {
+        name
+        for name, value in vars(georobust).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == PUBLIC_NAMES
+
+
+def test_names_the_benchmark_uses_exist():
+    assert callable(georobust.cli.main)
+    for name in ("d_matrix", "magnus_terms", "family_build", "schedule_to_text"):
+        assert callable(getattr(georobust, name)), name
+    assert georobust.ErrorModel.custom(0.01, lambda t: None).kind == "custom"
+    assert set(georobust.NAMED_GATES) == {"not", "hadamard", "identity", "x90", "z90"}

@@ -11,8 +11,6 @@ from georobust import (
     GateSpec,
     SolverError,
     assemble_schedule,
-    build_dg,
-    build_ngqc,
     build_schedule,
     family_build,
     gate_fidelity,
@@ -72,7 +70,7 @@ def test_gate_spec_validation():
 
 
 def test_dg_not_gate():
-    sched = build_dg(NOT)
+    sched = family_build("dg", NOT)
     assert len(sched.segments) == 1
     assert sched.duration == pytest.approx(math.pi)
     assert sched.segments[0].phase == pytest.approx(math.pi)
@@ -82,26 +80,27 @@ def test_dg_not_gate():
 
 def test_dg_partial_rotation():
     spec = GateSpec.x_rotation(math.pi / 2)
-    sched = build_dg(spec)
+    sched = family_build("dg", spec)
     assert sched.duration == pytest.approx(math.pi / 2)
     assert block_matches_target(sched, spec, atol=1e-12)
 
 
 def test_dg_identity_is_empty():
-    sched = build_dg(GateSpec.identity())
+    sched = family_build("dg", GateSpec.identity())
     assert sched.segments == ()
     np.testing.assert_allclose(schedule_propagator(sched), np.eye(2))
 
 
 def test_dg_rejects_off_equator_axis():
-    with pytest.raises(ValueError):
-        build_dg(GateSpec.z_rotation(math.pi / 2))
-    with pytest.raises(ValueError):
-        build_dg(GateSpec.hadamard())
+    # a resonant drive cannot reach these axes: a user error, not a solver failure
+    with pytest.raises(ConfigError, match="needs detuning"):
+        family_build("dg", GateSpec.z_rotation(math.pi / 2))
+    with pytest.raises(ConfigError, match="needs detuning"):
+        family_build("dg", GateSpec.hadamard())
 
 
 def test_ngqc_not_gate():
-    sched = build_ngqc(NOT)
+    sched = family_build("ngqc", NOT)
     durations = [s.duration for s in sched.segments]
     assert durations == pytest.approx([math.pi / 2, math.pi, math.pi / 2])
     assert sched.duration == pytest.approx(2 * math.pi)
@@ -114,21 +113,21 @@ def test_ngqc_not_gate():
 
 
 def test_ngqc_z_rotation_drops_zero_area_segment():
-    sched = build_ngqc(GateSpec.z_rotation(math.pi / 2))
+    sched = family_build("ngqc", GateSpec.z_rotation(math.pi / 2))
     assert len(sched.segments) == 2
     assert [s.area for s in sched.segments] == pytest.approx([math.pi, math.pi])
     assert block_matches_target(sched, GateSpec.z_rotation(math.pi / 2))
 
 
 def test_ngqc_hadamard_converges():
-    sched = build_ngqc(GateSpec.hadamard())
+    sched = family_build("ngqc", GateSpec.hadamard())
     assert sched.duration == pytest.approx(2 * math.pi)
     assert block_matches_target(sched, GateSpec.hadamard())
 
 
 def test_ngqc_not_src_residual_is_large():
     # the conventional three-segment loop violates the super-robust sum
-    sched = build_ngqc(NOT)
+    sched = family_build("ngqc", NOT)
     assert abs(src_residual(sched)) == pytest.approx(math.pi / 2, abs=1e-6)
 
 

@@ -10,6 +10,7 @@ import pytest
 from georobust import (
     ErrorModel,
     GateSpec,
+    NAMED_GATES,
     InvariantError,
     PulseSchedule,
     PulseSegment,
@@ -34,12 +35,28 @@ from georobust import (
     src_phasors,
     src_residual,
     target_unitary,
-    trace_fidelity,
+)
+from oracles import (
+    hamiltonian,
+    sampled_dynamical_integrals,
+    trapezoid_error_integrals,
+    two_trajectory_d_matrix,
 )
 
 NOT = GateSpec.not_gate()
 FAMILIES = ("dg", "ngqc", "sr-ngqc", "nhqc", "sr-nhqc")
 SR = ("sr-ngqc", "sr-nhqc")
+# every (family, gate) pair the family can reach: one resonant dg segment
+# needs an equatorial axis (or no rotation at all), and three equatorial pi
+# rotations (sr-ngqc) compose to an equatorial pi rotation, so NOT only
+FEASIBLE = [
+    (fam, gate)
+    for fam in FAMILIES
+    for gate in NAMED_GATES
+    if not (fam == "dg" and gate in ("hadamard", "z90"))
+    and not (fam == "sr-ngqc" and gate != "not")
+]
+SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +131,67 @@ def test_frame_loop_closure(not_schedules):
 def test_dynamical_integrals_vanish(not_schedules):
     for fam, sched in not_schedules.items():
         assert np.max(np.abs(dynamical_integrals(sched))) < 1e-10, fam
+
+
+def test_dynamical_integrals_match_frame_sampled_quadrature(not_schedules):
+    # the diagonal of the exact segment sum against trapezoid quadrature over
+    # the analytic co-moving frames, which shares no code with it
+    for fam, sched in not_schedules.items():
+        exact = dynamical_integrals(sched)
+        assert exact.shape == (sched.dim,), fam
+        np.testing.assert_allclose(exact, sampled_dynamical_integrals(sched), rtol=0,
+                                   atol=1e-10, err_msg=fam)
+
+
+def test_exact_error_integrals_match_trapezoid_integration():
+    # D and the Magnus pair against trapezoid quadrature along a
+    # midpoint-integrated trajectory at 2000 steps per pi, on every feasible
+    # pair; for V = H the integrands are piecewise constant or linear, so the
+    # quadrature is exact up to roundoff
+    for fam, gate in FEASIBLE:
+        sched = family_build(fam, NAMED_GATES[gate])
+        d_frame, d_op, g_op = trapezoid_error_integrals(sched, steps_per_pi=2000)
+        exact_d, exact_g = magnus_terms(sched)
+        np.testing.assert_allclose(d_matrix(sched), d_frame, rtol=0, atol=1e-9,
+                                   err_msg=f"{fam} {gate}")
+        np.testing.assert_allclose(exact_d, d_op, rtol=0, atol=1e-9, err_msg=f"{fam} {gate}")
+        np.testing.assert_allclose(exact_g, g_op, rtol=0, atol=1e-9, err_msg=f"{fam} {gate}")
+
+
+def test_empty_schedule_error_integrals_vanish():
+    for sched in (PulseSchedule("two", ()), PulseSchedule("lambda", (), theta=0.4),
+                  family_build("dg", GateSpec.identity())):
+        zero = np.zeros((sched.dim, sched.dim))
+        np.testing.assert_array_equal(d_matrix(sched), zero)
+        np.testing.assert_array_equal(d_matrix(sched, ErrorModel.custom(0.0, v=lambda t: SZ)), zero)
+        d_op, g_op = magnus_terms(sched)
+        np.testing.assert_array_equal(d_op, zero)
+        np.testing.assert_array_equal(g_op, zero)
+        np.testing.assert_array_equal(dynamical_integrals(sched), np.zeros(sched.dim))
+
+
+def test_custom_error_with_odd_step_count_matches_two_trajectories():
+    # a pi/3 segment takes ceil(2000/3) = 667 steps; the single trajectory
+    # rounds that up to 668 and checks itself on the even-indexed samples.
+    # Both grids carry a trapezoid error near 2.4e-7, which changes by about
+    # 2/667 of itself with the extra step
+    sched = PulseSchedule(
+        "two", (PulseSegment(math.pi / 3, 1.0, 0.2), PulseSegment(math.pi, 1.0, 1.1))
+    )
+    v = lambda t: math.cos(0.3 * t) * SZ  # noqa: E731
+    single = d_matrix(sched, ErrorModel.custom(0.0, v))
+    np.testing.assert_allclose(single, two_trajectory_d_matrix(sched, v), rtol=0, atol=1e-9)
+
+
+def test_custom_drive_error_matches_global_rabi():
+    # V(t) = H(t) through the custom quadrature reproduces the exact global
+    # Rabi sums; one segment per schedule, so no sample sits on a phase jump
+    for sched in (family_build("dg", NOT),
+                  PulseSchedule("lambda", (PulseSegment(2 * math.pi, 1.0, 0.7),), theta=0.9)):
+        custom = ErrorModel.custom(0.0, v=lambda t, s=sched: hamiltonian(s, t))
+        np.testing.assert_allclose(d_matrix(sched, custom), d_matrix(sched), atol=1e-9)
+        for got, want in zip(magnus_terms(sched, custom), magnus_terms(sched)):
+            np.testing.assert_allclose(got, want, atol=1e-9)
 
 
 def test_dg_d_matrix():
@@ -236,7 +314,8 @@ def test_gate_fidelity_variants():
     # leading 2x2 block comparison ignores the third level
     assert gate_fidelity(u, target) == pytest.approx(1.0)
     assert gate_fidelity(np.exp(0.3j) * np.eye(2), target) == pytest.approx(1.0)
-    assert trace_fidelity(np.eye(2), 1j * np.eye(2)) == pytest.approx(1.0)
+    # square arguments compare the full matrices, up to a global phase
+    assert gate_fidelity(np.eye(3), 1j * np.eye(3)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         gate_fidelity(np.eye(2), np.eye(2), subspace_dim=4)
 

@@ -163,6 +163,13 @@ def test_config_file_rejects_bad_lines(tmp_path, content):
         load_config_file(str(path))
 
 
+def test_config_file_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"gate = \xe9\n")
+    with pytest.raises(ConfigError):
+        load_config_file(str(path))
+
+
 def test_config_file_missing():
     with pytest.raises(ConfigError):
         load_config_file("/nonexistent/sweep.cfg")
@@ -198,6 +205,13 @@ def test_cli_build_solver_failure_is_exit_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "converged=False" in captured.err
+
+
+def test_cli_build_dg_off_equator_is_exit_4(capsys):
+    # an unreachable axis is the caller's mistake, reported before any search
+    rc = main(["build", "--family", "dg", "--gate", "hadamard"])
+    assert rc == 4
+    assert "needs detuning" in capsys.readouterr().err
 
 
 def test_cli_bad_seed_grid_is_exit_4(monkeypatch, capsys):
@@ -272,7 +286,7 @@ def test_cli_config_file_with_override(tmp_path, capsys):
 
 
 def test_cli_report_table1(capsys):
-    rc = main(["report-table1", "--steps-per-pi", "400"])
+    rc = main(["report-table1"])
     captured = capsys.readouterr()
     assert rc == 0
     for fam in ("dg", "ngqc", "sr-ngqc", "nhqc", "sr-nhqc"):
@@ -282,7 +296,7 @@ def test_cli_report_table1(capsys):
 
 
 def test_cli_check_src(capsys):
-    rc = main(["check-src", "--steps-per-pi", "400"])
+    rc = main(["check-src"])
     captured = capsys.readouterr()
     assert rc == 0
     assert "sr-ngqc" in captured.out
