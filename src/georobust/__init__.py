@@ -4,7 +4,6 @@ sweeps."""
 
 from .core import (
     check_hermitian,
-    check_unitary,
     mat_exp_hermitian,
 )
 from .errors import (
@@ -21,9 +20,7 @@ from .gates import (
     GateSpec,
     PhaseJumpSolution,
     assemble_schedule,
-    build_schedule,
     family_build,
-    seed_spacing,
     solve_phase_jumps,
     target_unitary,
 )

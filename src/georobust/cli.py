@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: build, sweep-beta, sweep-grid, report-table1, check-src.
-Exit codes: 0 success, 2 solver failure, 3 numerical invariant violation,
-4 bad arguments or configuration.
+Exit codes: 0 success, 2 solver failure (a certificate failed or the gate lies
+outside the family's reachable class), 3 numerical invariant violation, 4 bad
+arguments, configuration, or output path.
 
 Sweep options may come from a config file (--config): `key = value` lines,
 `#` comments, comma-separated lists. Explicit command-line flags win over the
@@ -15,7 +16,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, InvariantError, SerializationError, SolverError
-from .gates import FAMILIES, NAMED_GATES, family_build, solve_phase_jumps
+from .gates import FAMILIES, NAMED_GATES, assemble_schedule, solve_phase_jumps
 from .pulses import schedule_to_text
 from .sweep import (
     SweepConfig,
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
 
-    p_build = sub.add_parser("build", help="solve and print one pulse schedule")
+    p_build = sub.add_parser("build", help="solve, certify and print one pulse schedule")
     p_build.add_argument("--family", required=True, choices=FAMILIES)
     p_build.add_argument("--gate", default="not", choices=sorted(NAMED_GATES))
     p_build.add_argument("--out", help="write the schedule here (stdout when omitted)")
@@ -162,16 +163,15 @@ def cmd_build(args) -> int:
     print(
         f"family={sol.family} gate={args.gate} converged={sol.converged}\n"
         f"phases={[round(p, 12) for p in sol.phases]}\n"
-        f"residual_gate={sol.residual_gate:.3e} residual_src={sol.residual_src:.3e} "
-        f"residual_dynamical={sol.residual_dynamical:.3e}",
+        f"residual_gate={sol.residual_gate:.3e} residual_src={sol.residual_src:.3e}",
         file=sys.stderr,
     )
     if not sol.converged:
         raise SolverError(
-            f"{args.family} did not converge for gate {args.gate!r}: "
+            f"{args.family} phase law failed its certificate for gate {args.gate!r}: "
             f"residual_gate={sol.residual_gate:.3e}, residual_src={sol.residual_src:.3e}"
         )
-    schedule = family_build(args.family, spec)
+    schedule = assemble_schedule(args.family, spec, sol.phases)
     text = schedule_to_text(schedule)
     if args.out:
         write_text(args.out, text)

@@ -1,5 +1,5 @@
-"""Dense linear algebra for small driven systems: Hermitian and unitary
-checks and the Hermitian matrix exponential.
+"""Dense linear algebra for small driven systems: the Hermitian check and
+the Hermitian matrix exponential.
 
 Everything operates on plain complex ndarrays of shape (d, d), with d = 2 or 3
 in practice. Schedules are piecewise constant, so their propagators are
@@ -14,7 +14,6 @@ import numpy as np
 from .errors import InvariantError
 
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-9
 
 
 def check_hermitian(op: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator") -> None:
@@ -27,17 +26,6 @@ def check_hermitian(op: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "ope
     if not np.isfinite(dev) or dev > tol:
         raise InvariantError(
             f"{name} is not Hermitian: max |A - A^dag| = {dev:.3e} exceeds tol {tol:.1e}"
-        )
-
-
-def check_unitary(op: np.ndarray, tol: float = UNITARY_TOL, name: str = "operator") -> None:
-    """Raise InvariantError unless op^dag op = 1 within tol (max entrywise deviation)."""
-    op = np.asarray(op)
-    eye = np.eye(op.shape[0])
-    dev = float(np.max(np.abs(op.conj().T @ op - eye)))
-    if not np.isfinite(dev) or dev > tol:
-        raise InvariantError(
-            f"{name} is not unitary: max |U^dag U - 1| = {dev:.3e} exceeds tol {tol:.1e}"
         )
 
 

@@ -10,7 +10,8 @@ class GeorobustError(Exception):
 
 
 class SolverError(GeorobustError):
-    """Phase-jump solver failed to converge for the requested gate."""
+    """The gate lies outside the family's reachable class, or its phase law
+    failed the certificate."""
 
 
 class InvariantError(GeorobustError):

@@ -1,4 +1,4 @@
-"""The five standard gate constructions and the phase-jump solver.
+"""The five standard gate constructions and their closed-form phase laws.
 
 Families
 --------
@@ -8,7 +8,7 @@ ngqc      single-loop geometric gate on a two-level drive: the frame traverses
           (pi - theta, pi, theta) with phases (p, q, p). Duration 2*pi.
 sr-ngqc   super-robust variant: three pi-area segments anchored at a pole, so
           the per-segment SRC phasors (each of magnitude pi/2) can cancel.
-          Duration 3*pi. Realizes the equatorial pi-rotation class.
+          Duration 3*pi. Realizes the equatorial pi-rotation class only.
 nhqc      holonomic gate on a Lambda system: one 2*pi bright-state loop split
           into two pi segments. Duration 2*pi.
 sr-nhqc   two consecutive 2*pi loops (four pi segments) with phases chosen so
@@ -16,37 +16,49 @@ sr-nhqc   two consecutive 2*pi loops (four pi segments) with phases chosen so
 
 All segments run at unit amplitude, so durations equal areas.
 
-The solver walks a deterministic seed grid (spacing pi/6 per free phase,
-override with the GEOROBUST_SEED_GRID environment variable, e.g. "pi/4" or a
-float in radians), runs a damped Gauss-Newton iteration on each seed in
-lexicographic order, and returns the first seed that converges. The residual
-stacks the phase-aligned distance to the target block, leakage elements for
-Lambda systems, and (for the sr-* families) the real and imaginary parts of
-the closed-form SRC sum.
+Phase laws
+----------
+For a target exp(i (gamma/2) n.sigma) with axis angles (theta, phi), one
+phase per segment:
+
+dg        (pi - phi). Only equatorial axes (theta = pi/2) are reachable with a
+          resonant drive; the identity is the empty schedule.
+ngqc      p = -phi - pi/2, q = p + gamma/2, phases (p, q, p).
+nhqc      (0, pi - gamma).
+sr-nhqc   delta = pi - gamma/2, phases (0, delta, eps, eps + delta). Each 2*pi
+          loop carries the jump delta, which fixes the gate, and the SRC
+          phasor sum is (pi/2)(1 + e^{i delta})(1 + e^{i(2 delta - eps)}), so
+          eps = 2 delta - pi cancels it.
+sr-ngqc   a = -phi - 2*pi/3, phases (a, a + 4*pi/3, a). Three pi rotations
+          always multiply to an equatorial pi rotation, so any other target
+          (theta != pi/2 or gamma != pi mod 2*pi, beyond 1e-9) is refused with
+          SolverError before anything is propagated. The three SRC phasors
+          form a 120-degree triangle and sum to zero.
+
+Phases other than dg's are wrapped into [-pi, pi), which is exact because
+they enter only through e^{i phase}. solve_phase_jumps() certifies the laws
+with one propagation: the phase-aligned distance to the target block,
+leakage elements for Lambda systems, and the closed-form SRC sum.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, SolverError
 from .pulses import LAMBDA, TWO_LEVEL, PulseSchedule, PulseSegment, schedule_propagator
-from .robustness import dynamical_integrals, src_residual
+from .robustness import src_residual
 
 FAMILIES = ("dg", "ngqc", "sr-ngqc", "nhqc", "sr-nhqc")
 SR_FAMILIES = ("sr-ngqc", "sr-nhqc")
 
-DEFAULT_TOL = 1e-8
-DEFAULT_SEED_SPACING = math.pi / 6
+CERTIFICATE_TOL = 1e-8
 _AREA_EPS = 1e-12
+_CLASS_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class GateSpec:
@@ -106,16 +118,13 @@ def target_unitary(spec: GateSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseJumpSolution:
-    """Solver report: the segment phases and the residuals certifying them."""
+    """The segment phases of a family's law and the residuals certifying them."""
 
     family: str
     phases: tuple[float, ...]
     residual_gate: float
     residual_src: float
-    residual_dynamical: float
     converged: bool
-    iterations: int
-    seed: tuple[float, ...] | None
 
 
 def _check_family(family: str) -> None:
@@ -123,225 +132,123 @@ def _check_family(family: str) -> None:
         raise ConfigError(f"unknown family {family!r}, expected one of {FAMILIES}")
 
 
+def _dg_angle(spec: GateSpec) -> float:
+    """The dg pulse area: gamma reduced to [0, 2*pi), with a full turn read as 0."""
+    gamma = spec.gamma % _TWO_PI
+    return 0.0 if gamma < _AREA_EPS or _TWO_PI - gamma < _AREA_EPS else gamma
+
+
 def _family_layout(family: str, spec: GateSpec):
-    """(areas, phase-variable index per segment, system, frame theta, frame phi)."""
+    """(segment areas, system, frame theta, frame phi)."""
     if family == "dg":
-        return [_dg_angle(spec)], [0], TWO_LEVEL, 0.0, 0.0
+        angle = _dg_angle(spec)
+        return ([angle] if angle else []), TWO_LEVEL, 0.0, 0.0
     if family == "ngqc":
         th = spec.theta
-        return [math.pi - th, math.pi, th], [0, 1, 0], TWO_LEVEL, th, 0.0
+        return [math.pi - th, math.pi, th], TWO_LEVEL, th, 0.0
     if family == "sr-ngqc":
-        return [math.pi] * 3, [0, 1, 2], TWO_LEVEL, 0.0, 0.0
+        return [math.pi] * 3, TWO_LEVEL, 0.0, 0.0
     # Lambda families: bright/dark mixing chosen so |b><b| - |d><d| equals the
     # requested axis n.sigma on the computational block.
     pulse_theta = math.pi - spec.theta
     pulse_phi = -spec.phi
     if family == "nhqc":
-        return [math.pi] * 2, [0, 1], LAMBDA, pulse_theta, pulse_phi
-    return [math.pi] * 4, [0, 1, 2, 3], LAMBDA, pulse_theta, pulse_phi
-
-
-def _n_vars(family: str) -> int:
-    return {"dg": 1, "ngqc": 2, "sr-ngqc": 3, "nhqc": 2, "sr-nhqc": 4}[family]
+        return [math.pi] * 2, LAMBDA, pulse_theta, pulse_phi
+    return [math.pi] * 4, LAMBDA, pulse_theta, pulse_phi
 
 
 def assemble_schedule(family: str, spec: GateSpec, phases) -> PulseSchedule:
-    """Build the family's schedule for a given phase vector (zero-area segments dropped)."""
+    """Build the family's schedule from one phase per segment (zero-area segments dropped)."""
     _check_family(family)
-    areas, idx, system, th, ph = _family_layout(family, spec)
+    areas, system, th, ph = _family_layout(family, spec)
+    if len(phases) != len(areas):
+        raise ValueError(f"{family} takes {len(areas)} segment phases, got {len(phases)}")
     segments = tuple(
-        PulseSegment(duration=a, amplitude=1.0, phase=float(phases[i]))
-        for a, i in zip(areas, idx)
+        PulseSegment(duration=a, amplitude=1.0, phase=float(p))
+        for a, p in zip(areas, phases)
         if a > _AREA_EPS
     )
     return PulseSchedule(system=system, segments=segments, theta=th, phi=ph)
 
 
-def _residual_vector(family: str, spec: GateSpec, phases, t2: np.ndarray) -> np.ndarray:
-    sched = assemble_schedule(family, spec, phases)
-    u = schedule_propagator(sched)
-    block = u if sched.system == TWO_LEVEL else u[:2, :2]
-    tr = np.trace(t2.conj().T @ block)
-    chi = np.angle(tr) if abs(tr) > 1e-12 else 0.0
-    diff = block - np.exp(1j * chi) * t2
-    parts = [diff.real.ravel(), diff.imag.ravel()]
-    if sched.system == LAMBDA:
-        leak = np.concatenate([u[2, :2], u[:2, 2]])
-        parts.extend([leak.real, leak.imag])
-    if family in SR_FAMILIES:
-        src = src_residual(sched)
-        parts.append(np.array([src.real, src.imag]))
-    return np.concatenate(parts)
+def _wrap(phase: float) -> float:
+    return (phase + math.pi) % _TWO_PI - math.pi
 
 
-def _solution_scalars(family: str, spec: GateSpec, phases) -> tuple[float, float, float]:
-    """(residual_gate, residual_src, residual_dynamical) at a phase vector."""
-    t2 = target_unitary(spec)
-    vec = _residual_vector(family, spec, phases, t2)
-    n_src = 2 if family in SR_FAMILIES else 0
-    gate_res = float(np.linalg.norm(vec[: len(vec) - n_src]))
-    sched = assemble_schedule(family, spec, phases)
-    src_res = abs(src_residual(sched))
-    dyn_res = float(np.max(np.abs(dynamical_integrals(sched))))
-    return gate_res, src_res, dyn_res
+def _phase_law(family: str, spec: GateSpec) -> tuple[float, ...]:
+    """The segment phases realizing spec (see the module docstring).
 
-
-def _gauss_newton(fun, x0: np.ndarray, tol: float, max_iter: int):
-    """Damped Gauss-Newton with numerical Jacobian; returns (x, iterations, ok)."""
-    x = np.array(x0, dtype=float)
-    r = fun(x)
-    h = 1e-6
-    done = 0
-    for it in range(1, max_iter + 1):
-        if np.max(np.abs(r)) <= tol:
-            break
-        jac = np.empty((len(r), len(x)))
-        for k in range(len(x)):
-            bump = np.zeros_like(x)
-            bump[k] = h
-            jac[:, k] = (fun(x + bump) - fun(x - bump)) / (2.0 * h)
-        try:
-            dx = np.linalg.lstsq(jac, r, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        lam = 1.0
-        improved = False
-        base = float(np.linalg.norm(r))
-        for _ in range(12):
-            x_try = x - lam * dx
-            r_try = fun(x_try)
-            if float(np.linalg.norm(r_try)) < base:
-                x, r = x_try, r_try
-                improved = True
-                break
-            lam /= 2.0
-        if not improved:
-            break
-        done = it
-        # deterministic early abandonment of hopeless seeds
-        if it >= 4 and np.max(np.abs(r)) > 0.5:
-            break
-        if it >= 8 and np.max(np.abs(r)) > 1e-2:
-            break
-    return x, r, done, bool(np.max(np.abs(r)) <= tol)
-
-
-def seed_spacing(override: float | None = None) -> float:
-    """Seed-grid spacing: explicit override, else GEOROBUST_SEED_GRID, else pi/6."""
-    if override is not None:
-        value = float(override)
+    Raises ConfigError for a dg axis off the equator and SolverError for an
+    sr-ngqc target outside the equatorial pi-rotation class.
+    """
+    if family == "dg":
+        if not _dg_angle(spec):
+            return ()
+        if abs(spec.theta - math.pi / 2) > _CLASS_TOL:
+            raise ConfigError(
+                "dg realizes only equatorial rotation axes with a resonant drive "
+                f"(axis polar angle {spec.theta!r} needs detuning)"
+            )
+        return (math.pi - spec.phi,)
+    if family == "ngqc":
+        p = -spec.phi - math.pi / 2
+        phases = (p, p + spec.gamma / 2, p)
+    elif family == "nhqc":
+        phases = (0.0, math.pi - spec.gamma)
+    elif family == "sr-nhqc":
+        delta = math.pi - spec.gamma / 2
+        phases = (0.0, delta, 2 * delta - math.pi, 3 * delta - math.pi)
     else:
-        raw = os.environ.get("GEOROBUST_SEED_GRID")
-        if raw is None:
-            return DEFAULT_SEED_SPACING
-        raw = raw.strip().lower()
-        try:
-            value = math.pi / float(raw[3:]) if raw.startswith("pi/") else float(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad GEOROBUST_SEED_GRID value {raw!r}: {exc}") from exc
-    if not 0.0 < value <= _TWO_PI:
-        raise ConfigError(f"seed spacing must lie in (0, 2*pi], got {value!r}")
-    return value
+        if (abs(spec.theta - math.pi / 2) > _CLASS_TOL
+                or abs(_wrap(spec.gamma - math.pi)) > _CLASS_TOL):
+            raise SolverError(
+                "sr-ngqc reaches only equatorial pi rotations (axis theta = pi/2, "
+                f"gamma = pi mod 2*pi); got axis=(theta={spec.theta!r}, "
+                f"phi={spec.phi!r}), gamma={spec.gamma!r}"
+            )
+        a = -spec.phi - 2 * math.pi / 3
+        phases = (a, a + 4 * math.pi / 3, a)
+    return tuple(_wrap(p) for p in phases)
 
 
-def _dg_angle(spec: GateSpec) -> float:
-    """The dg pulse area: gamma reduced to [0, 2*pi), with a full turn read as 0."""
-    gamma = spec.gamma % _TWO_PI
-    return 0.0 if _TWO_PI - gamma < 1e-12 else gamma
+def solve_phase_jumps(family: str, spec: GateSpec) -> PhaseJumpSolution:
+    """The family's phase law for spec, certified by one propagation.
 
-
-def _dg_solution(spec: GateSpec, tol: float) -> PhaseJumpSolution:
-    if _dg_angle(spec) < 1e-12:
-        return PhaseJumpSolution(
-            family="dg", phases=(), residual_gate=0.0, residual_src=0.0,
-            residual_dynamical=0.0, converged=True, iterations=0, seed=None,
-        )
-    if abs(spec.theta - math.pi / 2) > 1e-9:
-        raise ConfigError(
-            "dg realizes only equatorial rotation axes with a resonant drive "
-            f"(axis polar angle {spec.theta!r} needs detuning)"
-        )
-    phase = math.pi - spec.phi
-    gate_res, src_res, dyn_res = _solution_scalars("dg", spec, [phase])
-    return PhaseJumpSolution(
-        family="dg", phases=(phase,), residual_gate=gate_res, residual_src=src_res,
-        residual_dynamical=dyn_res, converged=gate_res <= tol, iterations=0, seed=None,
-    )
-
-
-def solve_phase_jumps(
-    family: str,
-    spec: GateSpec,
-    seed_grid: float | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = 60,
-) -> PhaseJumpSolution:
-    """Solve for the segment phases realizing spec within the family's layout.
-
-    Deterministic: the seed grid is fixed, seeds are visited in lexicographic
-    order, and the first converged seed wins. The returned solution carries
-    converged=False (with the best residuals found) when no seed converges;
-    build_schedule() turns that into a SolverError.
+    residual_gate stacks the phase-aligned distance of the computational
+    block to the target and, for Lambda systems, the leakage elements;
+    residual_src is |closed-form SRC sum|. converged requires residual_gate
+    (and, for the sr-* families, residual_src) within CERTIFICATE_TOL.
     """
     _check_family(family)
-    if family == "dg":
-        return _dg_solution(spec, tol)
-    spacing = seed_spacing(seed_grid)
-    return _solve_grid(family, spec, spacing, tol, max_iter)
-
-
-@lru_cache(maxsize=None)
-def _solve_grid(family: str, spec: GateSpec, spacing: float, tol: float, max_iter: int) -> PhaseJumpSolution:
+    phases = _phase_law(family, spec)
+    sched = assemble_schedule(family, spec, phases)
+    u = schedule_propagator(sched)
     t2 = target_unitary(spec)
-    fun = lambda x: _residual_vector(family, spec, x, t2)  # noqa: E731
-    n = _n_vars(family)
-    values = np.arange(0.0, _TWO_PI - 1e-12, spacing)
-    inner_tol = tol / 10.0
-    best = None  # (score, x, iters, seed) for the non-converged report
-    for seed in itertools.product(values, repeat=n):
-        x, r, iters, ok = _gauss_newton(fun, np.array(seed), inner_tol, max_iter)
-        if ok:
-            # wrapping into [-pi, pi) is exactly gate-preserving (phases only
-            # enter through e^{i phi}) and avoids precision loss from large args
-            x = (x + math.pi) % _TWO_PI - math.pi
-            gate_res, src_res, dyn_res = _solution_scalars(family, spec, x)
-            src_ok = src_res <= tol if family in SR_FAMILIES else True
-            if gate_res <= tol and src_ok and dyn_res <= max(tol, 1e-8):
-                return PhaseJumpSolution(
-                    family=family, phases=tuple(float(v) for v in x),
-                    residual_gate=gate_res, residual_src=src_res,
-                    residual_dynamical=dyn_res, converged=True,
-                    iterations=iters, seed=tuple(float(v) for v in seed),
-                )
-        score = float(np.linalg.norm(r))
-        if best is None or score < best[0]:
-            best = (score, x, iters, tuple(float(v) for v in seed))
-    assert best is not None
-    _, x, iters, seed = best
-    gate_res, src_res, dyn_res = _solution_scalars(family, spec, x)
+    block = u[:2, :2]
+    tr = np.trace(t2.conj().T @ block)
+    chi = np.angle(tr) if abs(tr) > 1e-12 else 0.0
+    parts = [(block - np.exp(1j * chi) * t2).ravel()]
+    if sched.system == LAMBDA:
+        parts.extend([u[2, :2], u[:2, 2]])
+    gate_res = float(np.linalg.norm(np.concatenate(parts)))
+    src_res = abs(src_residual(sched))
+    src_ok = src_res <= CERTIFICATE_TOL or family not in SR_FAMILIES
     return PhaseJumpSolution(
-        family=family, phases=tuple(float(v) for v in x),
-        residual_gate=gate_res, residual_src=src_res, residual_dynamical=dyn_res,
-        converged=False, iterations=iters, seed=seed,
+        family=family, phases=phases, residual_gate=gate_res, residual_src=src_res,
+        converged=gate_res <= CERTIFICATE_TOL and src_ok,
     )
-
-
-def build_schedule(family: str, spec: GateSpec, seed_grid: float | None = None) -> PulseSchedule:
-    """Solve and assemble; raises SolverError when the solver does not converge."""
-    sol = solve_phase_jumps(family, spec, seed_grid=seed_grid)
-    if not sol.converged:
-        raise SolverError(
-            f"{family} solver did not converge for axis=(theta={spec.theta!r}, "
-            f"phi={spec.phi!r}), gamma={spec.gamma!r}: best residual_gate="
-            f"{sol.residual_gate:.3e}, residual_src={sol.residual_src:.3e}"
-        )
-    return assemble_schedule(family, spec, sol.phases)
 
 
 def family_build(family: str, spec: GateSpec) -> PulseSchedule:
-    """Solve and assemble by family name (the CLI entry point).
+    """Solve and assemble by family name; SolverError if the certificate fails.
 
-    The dg identity is an empty schedule: its single segment has zero area
-    and is dropped before its phase is read.
+    The dg identity is an empty schedule.
     """
-    return build_schedule(family, spec)
+    sol = solve_phase_jumps(family, spec)
+    if not sol.converged:
+        raise SolverError(
+            f"{family} phase law failed its certificate for axis=(theta={spec.theta!r}, "
+            f"phi={spec.phi!r}), gamma={spec.gamma!r}: residual_gate="
+            f"{sol.residual_gate:.3e}, residual_src={sol.residual_src:.3e}"
+        )
+    return assemble_schedule(family, spec, sol.phases)

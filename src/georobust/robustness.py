@@ -51,7 +51,6 @@ import numpy as np
 from .core import mat_exp_hermitian
 from .errors import InvariantError
 from .pulses import (
-    LAMBDA,
     TWO_LEVEL,
     ErrorModel,
     PulseSchedule,

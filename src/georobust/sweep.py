@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigError, InvariantError
 from .gates import FAMILIES, NAMED_GATES, GateSpec, family_build
 from .lindblad import open_gate_metrics, standard_channels
+from .pulses import PulseSchedule
 from .robustness import (
     d_matrix,
     leakage,
@@ -98,9 +99,11 @@ def beta_grid(config: SweepConfig) -> np.ndarray:
     return np.linspace(config.beta_min, config.beta_max, config.beta_points)
 
 
-def sweep_point(family: str, gate: str, beta: float, gamma: float, steps_per_pi: int) -> SweepRow:
-    """One (family, beta, gamma) measurement. Module-level so worker processes can run it."""
-    schedule = family_build(family, NAMED_GATES[gate])
+def sweep_point(
+    family: str, schedule: PulseSchedule, beta: float, gamma: float, steps_per_pi: int
+) -> SweepRow:
+    """One (family, beta, gamma) measurement of the family's built schedule.
+    Module-level so worker processes can run it."""
     src = abs(src_residual(schedule))
     if gamma == 0.0:
         fid = propagator_fidelity(schedule, beta)
@@ -121,8 +124,10 @@ def _sweep_point_star(args) -> SweepRow:
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """All rows of the configured sweep, already in canonical order."""
     betas = beta_grid(config)
+    spec = NAMED_GATES[config.gate]
+    schedules = {family: family_build(family, spec) for family in config.families}
     tasks = [
-        (family, config.gate, float(beta), float(gamma), config.steps_per_pi)
+        (family, schedules[family], float(beta), float(gamma), config.steps_per_pi)
         for family in sorted(config.families)
         for beta in betas
         for gamma in sorted(config.gammas)
@@ -211,8 +216,12 @@ def deltas_to_csv(drows: list[tuple[str, float, float, float]]) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+    """Write an output file; an unwritable path (e.g. a missing directory) is a ConfigError."""
+    try:
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path!r}: {exc.strerror or exc}") from exc
 
 
 def report_table1() -> str:

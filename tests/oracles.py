@@ -5,7 +5,8 @@ segment exponentials. The references here integrate the same quantities
 directly in time instead: a midpoint-sampled propagator on segment-aligned
 grids, trapezoid quadrature along the propagated trajectory, and the
 frame-sampled dynamical-phase quadrature. They share no code path with the
-exact segment sums they check.
+exact segment sums they check. The unitarity check the integrator applies
+lives here too, since only the references use it.
 """
 
 from __future__ import annotations
@@ -19,11 +20,22 @@ from georobust import (
     InvariantError,
     auxiliary_basis,
     auxiliary_frame,
-    check_unitary,
     mat_exp_hermitian,
     segment_hamiltonian,
 )
-from georobust.core import UNITARY_TOL
+
+UNITARY_TOL = 1e-9
+
+
+def check_unitary(op: np.ndarray, tol: float = UNITARY_TOL, name: str = "operator") -> None:
+    """Raise InvariantError unless op^dag op = 1 within tol (max entrywise deviation)."""
+    op = np.asarray(op)
+    eye = np.eye(op.shape[0])
+    dev = float(np.max(np.abs(op.conj().T @ op - eye)))
+    if not np.isfinite(dev) or dev > tol:
+        raise InvariantError(
+            f"{name} is not unitary: max |U^dag U - 1| = {dev:.3e} exceeds tol {tol:.1e}"
+        )
 
 
 @dataclass(frozen=True)

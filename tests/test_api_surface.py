@@ -5,6 +5,8 @@ edit here. The benchmark harness drives the package through a few of these
 names, which must keep working.
 """
 
+import ast
+import pathlib
 import types
 
 import georobust
@@ -15,15 +17,15 @@ PUBLIC_NAMES = {
     "GateSpec", "GeorobustError", "InvariantError", "NAMED_GATES", "PhaseJumpSolution",
     "PulseSchedule", "PulseSegment", "SR_FAMILIES", "SerializationError", "SolverError",
     "SweepConfig", "SweepRow", "assemble_schedule", "auxiliary_basis", "auxiliary_frame",
-    "beta_grid", "bright_dark", "build_schedule", "cardinal_states", "check_density",
-    "check_hermitian", "check_src_report", "check_unitary", "d_matrix", "delta_rows",
+    "beta_grid", "bright_dark", "cardinal_states", "check_density",
+    "check_hermitian", "check_src_report", "d_matrix", "delta_rows",
     "deltas_to_csv", "dynamical_integrals", "family_build", "fidelity_prediction",
     "frame_anchor", "gate_fidelity", "geometric_phase", "leakage", "lindblad_rhs",
     "load_schedule", "magnus_gate_approx", "magnus_terms", "mat_exp_hermitian",
     "open_gate_metrics", "order_fit", "propagate_density", "propagator_fidelity",
     "pulse_area", "quadratic_coefficient", "report_table1", "rows_to_csv", "run_sweep",
     "save_schedule", "schedule_from_text", "schedule_propagator", "schedule_to_text",
-    "seed_spacing", "segment_hamiltonian", "segment_propagator", "solve_phase_jumps",
+    "segment_hamiltonian", "segment_propagator", "solve_phase_jumps",
     "src_phasors", "src_residual", "standard_channels", "sweep_beta", "sweep_grid",
     "sweep_point", "target_unitary",
 }
@@ -44,3 +46,17 @@ def test_names_the_benchmark_uses_exist():
         assert callable(getattr(georobust, name)), name
     assert georobust.ErrorModel.custom(0.01, lambda t: None).kind == "custom"
     assert set(georobust.NAMED_GATES) == {"not", "hadamard", "identity", "x90", "z90"}
+
+
+def test_package_reads_no_environment():
+    # the package has no environment knobs; every setting is an argument or flag
+    reads = []
+    for path in sorted(pathlib.Path(georobust.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv"):
+                reads.append(f"{path.name}:{node.lineno} {node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+                if names & {"environ", "environb", "getenv"}:
+                    reads.append(f"{path.name}:{node.lineno} from os import {sorted(names)}")
+    assert reads == []

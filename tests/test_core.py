@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from georobust import InvariantError, check_hermitian, check_unitary, mat_exp_hermitian
-from oracles import TimeGrid, propagate_state, propagate_unitary
+from georobust import InvariantError, check_hermitian, mat_exp_hermitian
+from oracles import TimeGrid, check_unitary, propagate_state, propagate_unitary
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

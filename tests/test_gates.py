@@ -1,4 +1,4 @@
-"""Gate targets, the five family layouts, and the phase-jump solver."""
+"""Gate targets, the five family layouts, and the closed-form phase laws."""
 
 import math
 
@@ -7,21 +7,20 @@ import pytest
 
 from georobust import (
     FAMILIES,
+    NAMED_GATES,
     ConfigError,
     GateSpec,
     SolverError,
     assemble_schedule,
-    build_schedule,
+    dynamical_integrals,
     family_build,
     gate_fidelity,
     schedule_propagator,
-    seed_spacing,
     solve_phase_jumps,
     src_phasors,
     src_residual,
     target_unitary,
 )
-from georobust.gates import _solve_grid
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 NOT = GateSpec.not_gate()
@@ -156,7 +155,9 @@ def test_sr_ngqc_not_gate():
     sol = solve_phase_jumps("sr-ngqc", NOT)
     assert sol.converged
     assert sol.residual_src < 1e-8
-    assert sol.residual_dynamical < 1e-8
+    assert np.max(np.abs(dynamical_integrals(sched))) < 1e-8
+    # the 120-degree phasor triangle: phases (a, a + 4 pi/3, a) with a = -2 pi/3
+    assert sol.phases == pytest.approx((-2 * math.pi / 3, 2 * math.pi / 3, -2 * math.pi / 3))
 
 
 def test_sr_ngqc_phasors_cancel():
@@ -166,14 +167,19 @@ def test_sr_ngqc_phasors_cancel():
     assert abs(terms.sum()) < 1e-8
 
 
-def test_sr_ngqc_off_equator_does_not_converge():
-    # a coarse seed grid keeps the exhaustive failure fast; the layout has no
-    # solution off the equator at any seed
-    sol = solve_phase_jumps("sr-ngqc", GateSpec.hadamard(), seed_grid=math.pi / 2)
-    assert not sol.converged
-    assert sol.residual_gate > 1e-2
-    with pytest.raises(SolverError):
-        build_schedule("sr-ngqc", GateSpec.hadamard(), seed_grid=math.pi / 2)
+def test_sr_ngqc_off_equator_does_not_converge(monkeypatch):
+    # three pi rotations always compose to an equatorial pi rotation, so every
+    # other target is refused structurally, before any propagation
+    def no_propagation(schedule):
+        raise AssertionError("refusal must not propagate")
+
+    monkeypatch.setattr("georobust.gates.schedule_propagator", no_propagation)
+    for name in ("hadamard", "identity", "x90", "z90"):
+        spec = NAMED_GATES[name]
+        with pytest.raises(SolverError, match="equatorial pi rotations"):
+            solve_phase_jumps("sr-ngqc", spec)
+        with pytest.raises(SolverError, match="equatorial pi rotations"):
+            family_build("sr-ngqc", spec)
 
 
 def test_nhqc_not_gate():
@@ -234,43 +240,24 @@ def test_family_build_rejects_unknown_family():
     with pytest.raises(ConfigError):
         family_build("srr-ngqc", NOT)
     with pytest.raises(ConfigError):
-        build_schedule("", NOT)
+        solve_phase_jumps("", NOT)
 
 
 def test_solver_is_deterministic():
-    a = solve_phase_jumps("ngqc", GateSpec.hadamard())
-    _solve_grid.cache_clear()
-    b = solve_phase_jumps("ngqc", GateSpec.hadamard())
-    assert a == b
+    # no cache: each call evaluates the law and its certificate afresh
+    cases = [(family, NOT) for family in FAMILIES] + [("ngqc", GateSpec.hadamard())]
+    for family, spec in cases:
+        a = solve_phase_jumps(family, spec)
+        b = solve_phase_jumps(family, spec)
+        assert a == b
+        assert a is not b
+        assert all(-math.pi <= p <= math.pi for p in a.phases)
 
 
-def test_solution_reports_seed_and_iterations():
+def test_assemble_schedule_takes_one_phase_per_segment():
+    with pytest.raises(ValueError, match="3 segment phases"):
+        assemble_schedule("ngqc", NOT, (0.0, 0.0))
     sol = solve_phase_jumps("ngqc", NOT)
-    assert sol.seed is not None
-    assert sol.iterations >= 1
-    assert all(-math.pi <= p < math.pi + 1e-12 for p in sol.phases)
+    assert len(sol.phases) == 3
+    assert assemble_schedule("ngqc", NOT, sol.phases) == family_build("ngqc", NOT)
 
-
-def test_seed_spacing_env_override(monkeypatch):
-    monkeypatch.delenv("GEOROBUST_SEED_GRID", raising=False)
-    assert seed_spacing() == pytest.approx(math.pi / 6)
-    monkeypatch.setenv("GEOROBUST_SEED_GRID", "pi/4")
-    assert seed_spacing() == pytest.approx(math.pi / 4)
-    monkeypatch.setenv("GEOROBUST_SEED_GRID", "0.5")
-    assert seed_spacing() == pytest.approx(0.5)
-    monkeypatch.setenv("GEOROBUST_SEED_GRID", "junk")
-    with pytest.raises(ConfigError):
-        seed_spacing()
-    monkeypatch.setenv("GEOROBUST_SEED_GRID", "-1.0")
-    with pytest.raises(ConfigError):
-        seed_spacing()
-    monkeypatch.delenv("GEOROBUST_SEED_GRID")
-    # the explicit argument bypasses the environment
-    assert seed_spacing(0.7) == pytest.approx(0.7)
-
-
-def test_coarser_seed_grid_still_solves_not():
-    sol = solve_phase_jumps("nhqc", NOT, seed_grid=math.pi / 2)
-    assert sol.converged
-    sched = assemble_schedule("nhqc", NOT, sol.phases)
-    assert block_matches_target(sched, NOT)

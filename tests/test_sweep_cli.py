@@ -27,7 +27,7 @@ from georobust import (
     sweep_point,
 )
 from georobust.cli import load_config_file, main
-from georobust.gates import GateSpec
+from georobust.gates import NAMED_GATES, GateSpec
 
 SMALL = dict(beta_min=-0.05, beta_max=0.05, beta_points=5, steps_per_pi=300)
 
@@ -61,8 +61,9 @@ def test_sweep_config_rejects_bad_values(kwargs):
 
 
 def test_sweep_point_closed_matches_direct():
-    row = sweep_point("dg", "not", 0.05, 0.0, 300)
     sched = family_build("dg", GateSpec.not_gate())
+    row = sweep_point("dg", sched, 0.05, 0.0, 300)
+    assert row.family == "dg"
     assert row.fidelity == pytest.approx(propagator_fidelity(sched, 0.05), abs=1e-12)
     assert row.infidelity == pytest.approx(1.0 - row.fidelity, abs=1e-15)
     assert row.leakage == 0.0
@@ -70,11 +71,26 @@ def test_sweep_point_closed_matches_direct():
 
 
 def test_sweep_point_open_matches_direct():
-    row = sweep_point("dg", "not", 0.02, 1e-4, 300)
-    sched = family_build("dg", GateSpec.not_gate())
-    fid, leak = open_gate_metrics(sched, standard_channels("two", 1e-4, 1e-4), beta=0.02, steps_per_pi=300)
+    sched = family_build("nhqc", GateSpec.hadamard())
+    row = sweep_point("nhqc", sched, 0.02, 1e-4, 300)
+    fid, leak = open_gate_metrics(sched, standard_channels("lambda", 1e-4, 1e-4), beta=0.02, steps_per_pi=300)
     assert row.fidelity == pytest.approx(fid, abs=1e-12)
     assert row.leakage == pytest.approx(leak, abs=1e-12)
+
+
+def test_run_sweep_builds_each_family_once(monkeypatch):
+    import georobust.sweep
+
+    built = []
+
+    def counting_build(family, spec):
+        built.append(family)
+        return family_build(family, spec)
+
+    monkeypatch.setattr(georobust.sweep, "family_build", counting_build)
+    rows = run_sweep(SweepConfig(families=("ngqc", "dg"), gammas=(0.0, 1e-4), **SMALL))
+    assert len(rows) == 20
+    assert sorted(built) == ["dg", "ngqc"]
 
 
 def test_run_sweep_row_order_and_repeatability():
@@ -198,13 +214,25 @@ def test_cli_build_rejects_unknown_family(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_build_solver_failure_is_exit_2(monkeypatch, capsys):
-    # a coarse seed grid keeps the exhaustive failure quick
-    monkeypatch.setenv("GEOROBUST_SEED_GRID", "pi/2")
-    rc = main(["build", "--family", "sr-ngqc", "--gate", "hadamard"])
+def test_cli_build_solver_failure_is_exit_2(tmp_path, capsys):
+    # sr-ngqc reaches only equatorial pi rotations: refused at once, nothing written
+    for gate in ("hadamard", "identity", "x90", "z90"):
+        out = tmp_path / f"{gate}.txt"
+        rc = main(["build", "--family", "sr-ngqc", "--gate", gate, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2, gate
+        assert "sr-ngqc reaches only equatorial pi rotations" in captured.err
+        assert f"gamma={NAMED_GATES[gate].gamma!r}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
+def test_cli_sweep_of_unreachable_gate_is_exit_2(capsys):
+    rc = main(["sweep-beta", "--families", "dg,sr-ngqc", "--gate", "x90", "--beta-points", "3"])
     captured = capsys.readouterr()
     assert rc == 2
-    assert "converged=False" in captured.err
+    assert "equatorial pi rotations" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_build_dg_off_equator_is_exit_4(capsys):
@@ -214,11 +242,21 @@ def test_cli_build_dg_off_equator_is_exit_4(capsys):
     assert "needs detuning" in capsys.readouterr().err
 
 
-def test_cli_bad_seed_grid_is_exit_4(monkeypatch, capsys):
-    monkeypatch.setenv("GEOROBUST_SEED_GRID", "garbage")
-    rc = main(["build", "--family", "ngqc"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--family", "ngqc"],
+        ["sweep-beta", "--families", "dg", "--beta-points", "2"],
+        ["sweep-grid", "--families", "dg", "--beta-points", "2"],
+    ],
+)
+def test_cli_out_in_missing_directory_is_exit_4(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "result.txt"
+    rc = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
     assert rc == 4
-    assert "GEOROBUST_SEED_GRID" in capsys.readouterr().err
+    assert f"cannot write output file {str(out)!r}" in captured.err
+    assert not out.parent.exists()
 
 
 def test_cli_sweep_beta_deterministic_file(tmp_path, capsys):
