@@ -2,10 +2,6 @@
 super-robust condition checks, perturbative fidelity laws, and open-system
 sweeps."""
 
-from .core import (
-    check_hermitian,
-    mat_exp_hermitian,
-)
 from .errors import (
     ConfigError,
     GeorobustError,

@@ -175,7 +175,8 @@ def segment_propagator(schedule: PulseSchedule, seg: PulseSegment, scale: float 
     A resonant segment rotates by its pulse area about an equatorial axis, so
     the exponential reduces to cos/sin of half the area; for the Lambda system
     the rotation lives in the bright/excited block and the dark state is
-    untouched. Agrees with mat_exp_hermitian to machine precision.
+    untouched. Agrees with the eigendecomposition exponential of H_seg to
+    machine precision.
     """
     half = 0.5 * scale * seg.area
     c, s = math.cos(half), math.sin(half)

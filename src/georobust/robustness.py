@@ -48,12 +48,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import mat_exp_hermitian
 from .errors import InvariantError
 from .pulses import (
     TWO_LEVEL,
     ErrorModel,
     PulseSchedule,
+    PulseSegment,
     bright_dark,
     pulse_area,
     schedule_propagator,
@@ -157,8 +157,9 @@ def _custom_samples(schedule: PulseSchedule, v, steps_per_pi: int):
 
     Each entry is (dt, v_h) with v_h[k] = U^dag(t_k) V(t_k) U(t_k) on a uniform
     grid of the segment. The step count is rounded up to even, so the
-    even-indexed samples form the grid twice as coarse. U is exact per step
-    because H is constant inside each segment.
+    even-indexed samples form the grid twice as coarse. U is exact per step:
+    H is constant inside each segment, so a step is the closed-form propagator
+    of the segment shortened to the step length.
     """
     dim = schedule.dim
     bounds = schedule.boundaries()
@@ -169,7 +170,7 @@ def _custom_samples(schedule: PulseSchedule, v, steps_per_pi: int):
         steps += steps % 2
         times = np.linspace(bounds[j], bounds[j + 1], steps + 1)
         dt = times[1] - times[0]
-        step_u = mat_exp_hermitian(segment_hamiltonian(schedule, seg), dt)
+        step_u = segment_propagator(schedule, PulseSegment(dt, seg.amplitude, seg.phase))
         traj = np.empty((steps + 1, dim, dim), dtype=complex)
         traj[0] = u
         for k in range(steps):

@@ -1,11 +1,12 @@
 """Error and decoherence sweeps with a byte-deterministic CSV surface.
 
 Closed-system points (gamma = 0) score the full-dimension trace fidelity of
-the perturbed propagator against the ideal one. Open points (gamma > 0)
-integrate the Lindblad equation and average state fidelity over the six
-cardinal inputs. The two metrics are different by construction, so the
-gamma -> 0 limit of the open metric does not join the gamma = 0 column; the
-gamma = 0 column is defined to match the plain beta sweep exactly.
+the perturbed propagator against the ideal one. Open points (gamma > 0) apply
+the exact per-segment Lindblad channels (lindblad.open_gate_metrics) and
+average state fidelity over the six cardinal inputs. The two metrics are
+different by construction, so the gamma -> 0 limit of the open metric does not
+join the gamma = 0 column; the gamma = 0 column is defined to match the plain
+beta sweep exactly.
 
 CSV rows are sorted by (family, beta, gamma) and floats are written with
 repr(), so rerunning a sweep reproduces the file byte for byte.
@@ -51,7 +52,6 @@ class SweepConfig:
     beta_max: float = 0.1
     beta_points: int = 41
     gammas: tuple[float, ...] = (0.0,)
-    steps_per_pi: int = 2000
     jobs: int = 1
     out: str | None = None
 
@@ -73,8 +73,6 @@ class SweepConfig:
             raise ConfigError("|beta| beyond 0.5 is outside the supported error range")
         if self.beta_points < 1:
             raise ConfigError(f"beta_points must be >= 1, got {self.beta_points!r}")
-        if self.steps_per_pi < 100:
-            raise ConfigError(f"steps_per_pi must be >= 100, got {self.steps_per_pi!r}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs!r}")
         if not self.gammas:
@@ -99,9 +97,7 @@ def beta_grid(config: SweepConfig) -> np.ndarray:
     return np.linspace(config.beta_min, config.beta_max, config.beta_points)
 
 
-def sweep_point(
-    family: str, schedule: PulseSchedule, beta: float, gamma: float, steps_per_pi: int
-) -> SweepRow:
+def sweep_point(family: str, schedule: PulseSchedule, beta: float, gamma: float) -> SweepRow:
     """One (family, beta, gamma) measurement of the family's built schedule.
     Module-level so worker processes can run it."""
     src = abs(src_residual(schedule))
@@ -110,15 +106,11 @@ def sweep_point(
         leak = leakage(schedule, beta)
     else:
         channels = standard_channels(schedule.system, gamma, gamma)
-        fid, leak = open_gate_metrics(schedule, channels, beta=beta, steps_per_pi=steps_per_pi)
+        fid, leak = open_gate_metrics(schedule, channels, beta=beta)
     return SweepRow(
         family=family, beta=float(beta), gamma=float(gamma),
         fidelity=fid, infidelity=1.0 - fid, leakage=leak, src_residual=src,
     )
-
-
-def _sweep_point_star(args) -> SweepRow:
-    return sweep_point(*args)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -127,16 +119,16 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     spec = NAMED_GATES[config.gate]
     schedules = {family: family_build(family, spec) for family in config.families}
     tasks = [
-        (family, schedules[family], float(beta), float(gamma), config.steps_per_pi)
+        (family, schedules[family], float(beta), float(gamma))
         for family in sorted(config.families)
         for beta in betas
         for gamma in sorted(config.gammas)
     ]
     if config.jobs == 1:
-        rows = [_sweep_point_star(t) for t in tasks]
+        rows = [sweep_point(*t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_sweep_point_star, tasks, chunksize=8))
+            rows = list(pool.map(sweep_point, *zip(*tasks), chunksize=8))
     for row in rows:
         _check_row(row)
     return rows

@@ -1,12 +1,17 @@
 """Reference implementations the tests compare the package against.
 
 The package evaluates every global-Rabi quantity exactly, from closed-form
-segment exponentials. The references here integrate the same quantities
+segment exponentials, and every open-system channel as one Liouvillian
+exponential per segment. The references here integrate the same quantities
 directly in time instead: a midpoint-sampled propagator on segment-aligned
-grids, trapezoid quadrature along the propagated trajectory, and the
-frame-sampled dynamical-phase quadrature. They share no code path with the
-exact segment sums they check. The unitarity check the integrator applies
-lives here too, since only the references use it.
+grids built from the eigendecomposition exponential, trapezoid quadrature
+along the propagated trajectory, the frame-sampled dynamical-phase
+quadrature, and an RK4 integration of the master equation. The Kronecker-
+product Liouvillian gives tests a second, independently assembled generator
+for scipy's exponential. They share no code path with the exact segment sums
+and channels they check. The Hermitian and unitarity checks the integrator
+applies live here too, since only the references use them, and so does the
+list of reachable (family, gate) pairs.
 """
 
 from __future__ import annotations
@@ -17,14 +22,48 @@ from dataclasses import dataclass
 import numpy as np
 
 from georobust import (
+    FAMILIES,
+    NAMED_GATES,
     InvariantError,
     auxiliary_basis,
     auxiliary_frame,
-    mat_exp_hermitian,
+    check_density,
+    lindblad_rhs,
     segment_hamiltonian,
 )
 
+HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-9
+
+# every (family, gate) pair the family can reach: one resonant dg segment
+# needs an equatorial axis (or no rotation at all), and three equatorial pi
+# rotations (sr-ngqc) compose to an equatorial pi rotation, so NOT only
+FEASIBLE_PAIRS = [
+    (family, gate) for family in FAMILIES for gate in sorted(NAMED_GATES)
+    if not (family == "dg" and gate in ("hadamard", "z90"))
+    and not (family == "sr-ngqc" and gate != "not")
+]
+
+
+def check_hermitian(op: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator") -> None:
+    """Raise InvariantError unless op equals its conjugate transpose within tol.
+
+    The error message carries the maximum deviation so failures are diagnosable.
+    """
+    op = np.asarray(op)
+    dev = float(np.max(np.abs(op - op.conj().T)))
+    if not np.isfinite(dev) or dev > tol:
+        raise InvariantError(
+            f"{name} is not Hermitian: max |A - A^dag| = {dev:.3e} exceeds tol {tol:.1e}"
+        )
+
+
+def mat_exp_hermitian(ham: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Return exp(-1j * scale * ham) for a Hermitian matrix, via eigendecomposition."""
+    ham = np.asarray(ham, dtype=complex)
+    check_hermitian(ham, name="mat_exp_hermitian argument")
+    w, v = np.linalg.eigh(ham)
+    return (v * np.exp(-1j * scale * w)) @ v.conj().T
 
 
 def check_unitary(op: np.ndarray, tol: float = UNITARY_TOL, name: str = "operator") -> None:
@@ -201,3 +240,38 @@ def sampled_dynamical_integrals(schedule, samples_per_segment: int = 64) -> np.n
         dt = ts[1] - ts[0]
         totals += dt * (vals.sum(axis=0) - 0.5 * (vals[0] + vals[-1]))
     return totals
+
+
+def rk4_propagate_density(schedule, rho0, channels=(), beta: float = 0.0,
+                          steps_per_pi: int = 2000) -> np.ndarray:
+    """Integrate the master equation with fixed RK4 steps aligned to the
+    segment boundaries, ceil(steps_per_pi * duration / pi) per segment; the
+    density invariants are checked after every segment."""
+    stack = np.asarray(rho0, dtype=complex)
+    for seg in schedule.segments:
+        ham = segment_hamiltonian(schedule, seg, scale=1.0 + beta)
+        steps = max(1, math.ceil(steps_per_pi * seg.duration / math.pi))
+        dt = seg.duration / steps
+        for _ in range(steps):
+            k1 = lindblad_rhs(stack, ham, channels)
+            k2 = lindblad_rhs(stack + 0.5 * dt * k1, ham, channels)
+            k3 = lindblad_rhs(stack + 0.5 * dt * k2, ham, channels)
+            k4 = lindblad_rhs(stack + dt * k3, ham, channels)
+            stack = stack + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for mat in stack.reshape(-1, schedule.dim, schedule.dim):
+            check_density(mat, name="density matrix after segment")
+    return stack
+
+
+def kron_liouvillian(ham, channels=()) -> np.ndarray:
+    """The master-equation generator acting on row-major vec(rho) column vectors,
+    assembled from Kronecker products: vec(A X B) = (A kron B^T) vec(X)."""
+    ham = np.asarray(ham, dtype=complex)
+    eye = np.eye(ham.shape[0])
+    gen = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+    for ch in channels:
+        op = ch.operator
+        opdop = op.conj().T @ op
+        gen = gen + ch.rate * (np.kron(op, op.conj()) - 0.5 * np.kron(opdop, eye)
+                               - 0.5 * np.kron(eye, opdop.T))
+    return gen

@@ -193,16 +193,13 @@ def test_criterion_10_decoherence_tradeoff(schedules):
     infid = {}
     for fam in ("dg", "ngqc", "sr-ngqc"):
         channels = standard_channels("two", gamma, gamma)
-        infid[fam] = 1.0 - open_gate_metrics(schedules[fam], channels, beta=0.0,
-                                             steps_per_pi=STEPS_PER_PI)[0]
+        infid[fam] = 1.0 - open_gate_metrics(schedules[fam], channels, beta=0.0)[0]
     ordered = infid["dg"] < infid["ngqc"] < infid["sr-ngqc"]
 
     def gap(beta):
         channels = standard_channels("two", gamma, gamma)
-        f_sr = open_gate_metrics(schedules["sr-ngqc"], channels, beta=beta,
-                                 steps_per_pi=STEPS_PER_PI)[0]
-        f_dg = open_gate_metrics(schedules["dg"], channels, beta=beta,
-                                 steps_per_pi=STEPS_PER_PI)[0]
+        f_sr = open_gate_metrics(schedules["sr-ngqc"], channels, beta=beta)[0]
+        f_dg = open_gate_metrics(schedules["dg"], channels, beta=beta)[0]
         return f_sr - f_dg
 
     low, high = gap(0.005), gap(0.03)
@@ -215,7 +212,7 @@ def test_criterion_10_decoherence_tradeoff(schedules):
 
 def test_criterion_11_deterministic_sweeps():
     config = SweepConfig(families=("dg", "sr-ngqc"), beta_min=-0.1, beta_max=0.1,
-                         beta_points=11, steps_per_pi=STEPS_PER_PI)
+                         beta_points=11)
     first = rows_to_csv(run_sweep(config))
     second = rows_to_csv(run_sweep(config))
     parallel = rows_to_csv(run_sweep(replace(config, jobs=2)))

@@ -18,10 +18,10 @@ PUBLIC_NAMES = {
     "PulseSchedule", "PulseSegment", "SR_FAMILIES", "SerializationError", "SolverError",
     "SweepConfig", "SweepRow", "assemble_schedule", "auxiliary_basis", "auxiliary_frame",
     "beta_grid", "bright_dark", "cardinal_states", "check_density",
-    "check_hermitian", "check_src_report", "d_matrix", "delta_rows",
+    "check_src_report", "d_matrix", "delta_rows",
     "deltas_to_csv", "dynamical_integrals", "family_build", "fidelity_prediction",
     "frame_anchor", "gate_fidelity", "geometric_phase", "leakage", "lindblad_rhs",
-    "load_schedule", "magnus_gate_approx", "magnus_terms", "mat_exp_hermitian",
+    "load_schedule", "magnus_gate_approx", "magnus_terms",
     "open_gate_metrics", "order_fit", "propagate_density", "propagator_fidelity",
     "pulse_area", "quadratic_coefficient", "report_table1", "rows_to_csv", "run_sweep",
     "save_schedule", "schedule_from_text", "schedule_propagator", "schedule_to_text",

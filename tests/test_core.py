@@ -1,13 +1,20 @@
-"""Validators and the Hermitian exponential, plus the direct time-stepping
-integrator in oracles.py that other tests use as a reference."""
+"""The reference validators, Hermitian exponential and direct time-stepping
+integrator in oracles.py that other tests compare the package against."""
 
 import math
 
 import numpy as np
 import pytest
 
-from georobust import InvariantError, check_hermitian, mat_exp_hermitian
-from oracles import TimeGrid, check_unitary, propagate_state, propagate_unitary
+from georobust import InvariantError
+from oracles import (
+    TimeGrid,
+    check_hermitian,
+    check_unitary,
+    mat_exp_hermitian,
+    propagate_state,
+    propagate_unitary,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

@@ -1,12 +1,17 @@
 """Open-system propagation: collapse channels, the master equation right-hand
-side, density-matrix invariants, and the cardinal-state gate metrics."""
+side, density-matrix invariants, the exact per-segment channels against RK4
+and Kronecker-product references, and the cardinal-state gate metrics."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from georobust import (
+    NAMED_GATES,
     CollapseChannel,
     GateSpec,
     InvariantError,
@@ -19,10 +24,14 @@ from georobust import (
     open_gate_metrics,
     propagate_density,
     schedule_propagator,
+    segment_hamiltonian,
     standard_channels,
 )
+from georobust.lindblad import _expm, _segment_channel
+from oracles import FEASIBLE_PAIRS, kron_liouvillian, rk4_propagate_density
 
 NOT = GateSpec.not_gate()
+PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
 def random_density(rng, dim):
@@ -86,7 +95,7 @@ def test_check_density_rejects_bad_input():
 def test_propagate_density_input_validation():
     sched = family_build("dg", NOT)
     with pytest.raises(InvariantError):
-        propagate_density(sched, np.eye(2).astype(complex), steps_per_pi=100)
+        propagate_density(sched, np.eye(2).astype(complex))
 
 
 def test_zero_rates_match_unitary_evolution():
@@ -96,7 +105,7 @@ def test_zero_rates_match_unitary_evolution():
         psi = np.zeros(dim, dtype=complex)
         psi[0] = 1.0
         rho = np.outer(psi, psi.conj())
-        rho_tau = propagate_density(sched, rho, (), steps_per_pi=400)
+        rho_tau = propagate_density(sched, rho, ())
         u = schedule_propagator(sched)
         expect = np.outer(u @ psi, (u @ psi).conj())
         np.testing.assert_allclose(rho_tau, expect, atol=1e-7, err_msg=fam)
@@ -109,9 +118,9 @@ def test_pure_dephasing_closed_form():
     sched = PulseSchedule("two", (PulseSegment(duration, 0.0, 0.0),))
     channels = (CollapseChannel(gamma2, np.diag([0.0, 1.0]).astype(complex)),)
     rho0 = np.full((2, 2), 0.5, dtype=complex)
-    rho_tau = propagate_density(sched, rho0, channels, steps_per_pi=200)
+    rho_tau = propagate_density(sched, rho0, channels)
     expect = 0.5 * math.exp(-gamma2 * duration / 2.0)
-    assert rho_tau[0, 1].real == pytest.approx(expect, abs=1e-8)
+    assert rho_tau[0, 1].real == pytest.approx(expect, abs=1e-12)
     assert abs(rho_tau[0, 1].imag) < 1e-12
     np.testing.assert_allclose(np.diag(rho_tau).real, [0.5, 0.5], atol=1e-10)
 
@@ -123,18 +132,18 @@ def test_amplitude_damping_closed_form():
     sched = PulseSchedule("two", (PulseSegment(duration, 0.0, 0.0),))
     channels = (CollapseChannel(gamma1, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)),)
     rho0 = np.diag([0.0, 1.0]).astype(complex)
-    rho_tau = propagate_density(sched, rho0, channels, steps_per_pi=200)
-    assert rho_tau[1, 1].real == pytest.approx(math.exp(-gamma1 * duration), abs=1e-8)
-    assert rho_tau[0, 0].real == pytest.approx(1.0 - math.exp(-gamma1 * duration), abs=1e-8)
+    rho_tau = propagate_density(sched, rho0, channels)
+    assert rho_tau[1, 1].real == pytest.approx(math.exp(-gamma1 * duration), abs=1e-12)
+    assert rho_tau[0, 0].real == pytest.approx(1.0 - math.exp(-gamma1 * duration), abs=1e-12)
 
 
 def test_propagate_density_stack():
     sched = family_build("dg", NOT)
     rng = np.random.default_rng(3)
     stack = np.array([random_density(rng, 2) for _ in range(4)])
-    out = propagate_density(sched, stack, standard_channels("two", 1e-4, 1e-4), steps_per_pi=200)
+    out = propagate_density(sched, stack, standard_channels("two", 1e-4, 1e-4))
     assert out.shape == (4, 2, 2)
-    single = propagate_density(sched, stack[2], standard_channels("two", 1e-4, 1e-4), steps_per_pi=200)
+    single = propagate_density(sched, stack[2], standard_channels("two", 1e-4, 1e-4))
     np.testing.assert_allclose(out[2], single, atol=1e-12)
 
 
@@ -149,7 +158,7 @@ def test_cardinal_states():
 def test_open_metrics_zero_rates_are_ideal():
     for fam in ("dg", "nhqc"):
         sched = family_build(fam, NOT)
-        fid, leak = open_gate_metrics(sched, (), beta=0.0, steps_per_pi=400)
+        fid, leak = open_gate_metrics(sched, (), beta=0.0)
         assert fid == pytest.approx(1.0, abs=1e-7), fam
         assert leak < 1e-7, fam
 
@@ -158,12 +167,12 @@ def test_open_metrics_match_manual_average():
     # cross-check the einsum bookkeeping against an explicit loop
     sched = family_build("dg", NOT)
     channels = standard_channels("two", 2e-4, 2e-4)
-    fid, _ = open_gate_metrics(sched, channels, beta=0.02, steps_per_pi=300)
+    fid, _ = open_gate_metrics(sched, channels, beta=0.02)
     u0 = schedule_propagator(sched)
     total = 0.0
     for psi in cardinal_states(2):
         rho = np.outer(psi, psi.conj())
-        rho_tau = propagate_density(sched, rho, channels, beta=0.02, steps_per_pi=300)
+        rho_tau = propagate_density(sched, rho, channels, beta=0.02)
         target = u0 @ psi
         total += float(np.real(target.conj() @ rho_tau @ target))
     assert fid == pytest.approx(total / 6.0, abs=1e-12)
@@ -176,7 +185,7 @@ def test_decoherence_cost_grows_with_duration():
     infids = []
     for fam in ("dg", "ngqc", "sr-ngqc"):
         sched = family_build(fam, NOT)
-        fid = open_gate_metrics(sched, standard_channels("two", gamma, gamma), steps_per_pi=300)[0]
+        fid = open_gate_metrics(sched, standard_channels("two", gamma, gamma))[0]
         infids.append(1.0 - fid)
     assert infids[0] < infids[1] < infids[2]
     # scale check: infidelity stays within a factor of the gamma * duration scale
@@ -187,5 +196,76 @@ def test_decoherence_cost_grows_with_duration():
 
 def test_lambda_open_system_reports_leakage():
     sched = family_build("nhqc", NOT)
-    _, leak = open_gate_metrics(sched, standard_channels("lambda", 1e-3, 0.0), steps_per_pi=300)
+    _, leak = open_gate_metrics(sched, standard_channels("lambda", 1e-3, 0.0))
     assert 0.0 < leak < 0.05
+
+
+def cardinal_densities(dim):
+    psis = cardinal_states(dim)
+    return np.einsum("ki,kj->kij", psis, psis.conj())
+
+
+def test_expm_matches_scipy():
+    rng = np.random.default_rng(5)
+    assert np.array_equal(_expm(np.zeros((4, 4), dtype=complex)), np.eye(4))
+    for dim in (4, 9):
+        for norm in (0.3, 0.5, 50.0):  # 0.3 and 0.5 need no squaring, 50 needs 7
+            mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            mat *= norm / np.linalg.norm(mat, 1)
+            ref = scipy.linalg.expm(mat)
+            err = np.linalg.norm(_expm(mat) - ref) / np.linalg.norm(ref)
+            assert err < 1e-12, (dim, norm, err)
+
+
+def test_exact_channel_matches_rk4():
+    for fam in ("dg", "nhqc"):
+        sched = family_build(fam, NOT)
+        rho0 = cardinal_densities(sched.dim)
+        chans = standard_channels(sched.system, 1e-2, 1e-2)
+        exact = propagate_density(sched, rho0, chans, beta=0.03)
+        ref = rk4_propagate_density(sched, rho0, chans, beta=0.03, steps_per_pi=2000)
+        np.testing.assert_allclose(exact, ref, rtol=0, atol=1e-10, err_msg=fam)
+
+
+def test_exact_channel_matches_kron_liouvillian():
+    assert len(FEASIBLE_PAIRS) == 19
+    for fam, gate in FEASIBLE_PAIRS:
+        sched = family_build(fam, NAMED_GATES[gate])
+        rho0 = cardinal_densities(sched.dim)
+        for gamma in (1e-4, 1e-2):
+            chans = standard_channels(sched.system, gamma, gamma)
+            for beta in (0.0, 0.03):
+                flat = rho0.reshape(6, -1)
+                for seg in sched.segments:
+                    ham = segment_hamiltonian(sched, seg, scale=1.0 + beta)
+                    flat = flat @ scipy.linalg.expm(seg.duration * kron_liouvillian(ham, chans)).T
+                ref = flat.reshape(rho0.shape)
+                exact = propagate_density(sched, rho0, chans, beta=beta)
+                np.testing.assert_allclose(exact, ref, rtol=0, atol=1e-12,
+                                           err_msg=f"{fam} {gate} {gamma} {beta}")
+
+
+def unit_interval():
+    return st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@PROPERTY
+@given(system=st.sampled_from(["two", "lambda"]), gamma1=unit_interval(), gamma2=unit_interval(),
+       duration=st.floats(min_value=1e-3, max_value=4 * math.pi),
+       amplitude=st.floats(min_value=0.0, max_value=2.0),
+       phase=st.floats(min_value=-math.pi, max_value=math.pi),
+       theta=st.floats(min_value=0.0, max_value=math.pi),
+       phi=st.floats(min_value=-math.pi, max_value=math.pi))
+def test_segment_channel_is_trace_preserving_and_completely_positive(
+        system, gamma1, gamma2, duration, amplitude, phase, theta, phi):
+    seg = PulseSegment(duration, amplitude, phase)
+    sched = PulseSchedule(system, (seg,), theta=theta, phi=phi if system == "lambda" else 0.0)
+    d = sched.dim
+    chan = _segment_channel(sched, seg, standard_channels(system, gamma1, gamma2))
+    # Tr(rho') = vec(rho) . (chan @ vec(1)), so trace preservation is chan @ vec(1) = vec(1)
+    vec_eye = np.eye(d).reshape(-1)
+    assert np.max(np.abs(chan @ vec_eye - vec_eye)) <= 1e-12
+    # Choi matrix: block (i, j) is the image of the matrix unit |i><j|
+    choi = chan.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    assert np.max(np.abs(choi - choi.conj().T)) <= 1e-12
+    assert np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min() >= -1e-12

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from georobust import (
-    FAMILIES,
     NAMED_GATES,
     SR_FAMILIES,
     GateSpec,
@@ -27,6 +26,7 @@ from georobust import (
     solve_phase_jumps,
     src_residual,
 )
+from oracles import FEASIBLE_PAIRS
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -102,13 +102,6 @@ def test_sr_ngqc_refuses_outside_its_class_without_propagating(spec):
 
 # the refused pairs are tested in test_gates (dg needs detuning off the
 # equator; sr-ngqc reaches only equatorial pi rotations)
-FEASIBLE_NAMED = [
-    (family, gate) for family in FAMILIES for gate in sorted(NAMED_GATES)
-    if not (family == "dg" and gate in ("hadamard", "z90"))
-    and not (family == "sr-ngqc" and gate != "not")
-]
-
-
-@pytest.mark.parametrize("family,gate", FEASIBLE_NAMED)
+@pytest.mark.parametrize("family,gate", FEASIBLE_PAIRS)
 def test_named_gates_are_certified(family, gate):
     check_certified(family, NAMED_GATES[gate])

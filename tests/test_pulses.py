@@ -12,7 +12,6 @@ from georobust import (
     SerializationError,
     bright_dark,
     load_schedule,
-    mat_exp_hermitian,
     pulse_area,
     save_schedule,
     schedule_from_text,
@@ -21,7 +20,7 @@ from georobust import (
     segment_hamiltonian,
     segment_propagator,
 )
-from oracles import TimeGrid, hamiltonian, propagate_unitary
+from oracles import TimeGrid, hamiltonian, mat_exp_hermitian, propagate_unitary
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

@@ -26,7 +26,6 @@ from georobust import (
     leakage,
     magnus_gate_approx,
     magnus_terms,
-    mat_exp_hermitian,
     order_fit,
     propagator_fidelity,
     quadratic_coefficient,
@@ -37,7 +36,9 @@ from georobust import (
     target_unitary,
 )
 from oracles import (
+    FEASIBLE_PAIRS,
     hamiltonian,
+    mat_exp_hermitian,
     sampled_dynamical_integrals,
     trapezoid_error_integrals,
     two_trajectory_d_matrix,
@@ -46,16 +47,6 @@ from oracles import (
 NOT = GateSpec.not_gate()
 FAMILIES = ("dg", "ngqc", "sr-ngqc", "nhqc", "sr-nhqc")
 SR = ("sr-ngqc", "sr-nhqc")
-# every (family, gate) pair the family can reach: one resonant dg segment
-# needs an equatorial axis (or no rotation at all), and three equatorial pi
-# rotations (sr-ngqc) compose to an equatorial pi rotation, so NOT only
-FEASIBLE = [
-    (fam, gate)
-    for fam in FAMILIES
-    for gate in NAMED_GATES
-    if not (fam == "dg" and gate in ("hadamard", "z90"))
-    and not (fam == "sr-ngqc" and gate != "not")
-]
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
@@ -148,7 +139,7 @@ def test_exact_error_integrals_match_trapezoid_integration():
     # midpoint-integrated trajectory at 2000 steps per pi, on every feasible
     # pair; for V = H the integrands are piecewise constant or linear, so the
     # quadrature is exact up to roundoff
-    for fam, gate in FEASIBLE:
+    for fam, gate in FEASIBLE_PAIRS:
         sched = family_build(fam, NAMED_GATES[gate])
         d_frame, d_op, g_op = trapezoid_error_integrals(sched, steps_per_pi=2000)
         exact_d, exact_g = magnus_terms(sched)

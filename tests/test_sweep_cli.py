@@ -29,7 +29,7 @@ from georobust import (
 from georobust.cli import load_config_file, main
 from georobust.gates import NAMED_GATES, GateSpec
 
-SMALL = dict(beta_min=-0.05, beta_max=0.05, beta_points=5, steps_per_pi=300)
+SMALL = dict(beta_min=-0.05, beta_max=0.05, beta_points=5)
 
 
 def test_sweep_config_defaults():
@@ -48,7 +48,7 @@ def test_sweep_config_defaults():
         dict(beta_min=0.2, beta_max=0.1),
         dict(beta_max=0.7),
         dict(beta_points=0),
-        dict(steps_per_pi=50),
+        dict(gammas=(math.inf,)),
         dict(jobs=0),
         dict(gammas=()),
         dict(gammas=(-1e-4,)),
@@ -62,7 +62,7 @@ def test_sweep_config_rejects_bad_values(kwargs):
 
 def test_sweep_point_closed_matches_direct():
     sched = family_build("dg", GateSpec.not_gate())
-    row = sweep_point("dg", sched, 0.05, 0.0, 300)
+    row = sweep_point("dg", sched, 0.05, 0.0)
     assert row.family == "dg"
     assert row.fidelity == pytest.approx(propagator_fidelity(sched, 0.05), abs=1e-12)
     assert row.infidelity == pytest.approx(1.0 - row.fidelity, abs=1e-15)
@@ -72,8 +72,8 @@ def test_sweep_point_closed_matches_direct():
 
 def test_sweep_point_open_matches_direct():
     sched = family_build("nhqc", GateSpec.hadamard())
-    row = sweep_point("nhqc", sched, 0.02, 1e-4, 300)
-    fid, leak = open_gate_metrics(sched, standard_channels("lambda", 1e-4, 1e-4), beta=0.02, steps_per_pi=300)
+    row = sweep_point("nhqc", sched, 0.02, 1e-4)
+    fid, leak = open_gate_metrics(sched, standard_channels("lambda", 1e-4, 1e-4), beta=0.02)
     assert row.fidelity == pytest.approx(fid, abs=1e-12)
     assert row.leakage == pytest.approx(leak, abs=1e-12)
 
@@ -131,7 +131,7 @@ def test_csv_shape_and_parseability():
 
 def test_delta_rows_pair_families():
     config = SweepConfig(families=("dg", "ngqc", "sr-ngqc"), beta_min=0.0, beta_max=0.04,
-                         beta_points=2, steps_per_pi=300)
+                         beta_points=2)
     rows = run_sweep(config)
     drows = delta_rows(rows)
     pairs = {d[0] for d in drows}
@@ -152,8 +152,7 @@ def test_config_file_parsing(tmp_path):
         "beta_min = -0.02\n"
         "beta_max = 0.02\n"
         "beta_points = 3\n"
-        "gamma = 0, 1e-4\n"
-        "steps_per_pi = 300\n",
+        "gamma = 0, 1e-4\n",
         encoding="utf-8",
     )
     kwargs = load_config_file(str(path))
@@ -262,7 +261,7 @@ def test_cli_out_in_missing_directory_is_exit_4(tmp_path, capsys, argv):
 def test_cli_sweep_beta_deterministic_file(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     argv = ["sweep-beta", "--families", "dg", "--beta-min", "-0.05", "--beta-max", "0.05",
-            "--beta-points", "5", "--steps-per-pi", "300", "--out", str(out)]
+            "--beta-points", "5", "--out", str(out)]
     assert main(argv) == 0
     first = out.read_bytes()
     assert main(argv) == 0
@@ -285,11 +284,48 @@ def test_cli_sweep_grid_needs_out(capsys):
     assert "--out" in capsys.readouterr().err
 
 
+def test_cli_sweep_grid_fully_relaxed_point(tmp_path, capsys):
+    # gamma * duration = 2000 pi: the exact channel relaxes every input to the
+    # steady state, and six cardinal-state overlaps with any trace-1 state
+    # average to exactly 1/2
+    out = tmp_path / "grid.csv"
+    rc = main(["sweep-grid", "--families", "dg", "--beta-points", "1", "--beta-min", "0",
+               "--beta-max", "0", "--gamma", "0,2000", "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [row[2] for row in rows] == ["0.0", "2000.0"]
+    assert float(rows[1][3]) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["sweep-beta", "--steps-per-pi", "300"], None),
+        (["sweep-grid", "--gamma", "0,1e-4", "--steps-per-pi", "300"], None),
+        (["sweep-beta"], "steps_per_pi = 300\n"),
+    ],
+)
+def test_cli_rejects_step_count(tmp_path, capsys, argv, config):
+    # open-system points are exact, so there is no step count to set
+    extra = []
+    if config is not None:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        extra = ["--config", str(cfg)]
+    out = tmp_path / "out.csv"
+    rc = main([*argv, "--families", "dg", "--beta-points", "2", *extra, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert "steps" in captured.err
+    assert not out.exists()
+
+
 def test_cli_sweep_grid_writes_delta_companion(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     rc = main(["sweep-grid", "--families", "dg,ngqc,sr-ngqc", "--gamma", "0,1e-4",
                "--beta-min", "0", "--beta-max", "0.02", "--beta-points", "2",
-               "--steps-per-pi", "300", "--out", str(out)])
+               "--out", str(out)])
     capsys.readouterr()
     assert rc == 0
     text = out.read_text(encoding="utf-8")
@@ -303,7 +339,7 @@ def test_cli_sweep_grid_writes_delta_companion(tmp_path, capsys):
 
 def test_cli_grid_zero_gamma_matches_sweep_beta(tmp_path, capsys):
     shared = ["--families", "dg,ngqc", "--beta-min", "-0.04", "--beta-max", "0.04",
-              "--beta-points", "3", "--steps-per-pi", "300"]
+              "--beta-points", "3"]
     beta_out = tmp_path / "beta.csv"
     grid_out = tmp_path / "grid.csv"
     assert main(["sweep-beta", *shared, "--out", str(beta_out)]) == 0
@@ -314,7 +350,7 @@ def test_cli_grid_zero_gamma_matches_sweep_beta(tmp_path, capsys):
 
 def test_cli_config_file_with_override(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("families = dg\nbeta_points = 3\nsteps_per_pi = 300\n", encoding="utf-8")
+    cfg.write_text("families = dg\nbeta_points = 3\n", encoding="utf-8")
     out = tmp_path / "out.csv"
     rc = main(["sweep-beta", "--config", str(cfg), "--beta-points", "2", "--out", str(out)])
     capsys.readouterr()
@@ -346,6 +382,14 @@ def test_cli_check_src_rejects_unknown_family(capsys):
     rc = main(["check-src", "--families", "dg,bogus"])
     assert rc == 4
     capsys.readouterr()
+
+
+def test_cli_check_src_rejects_empty_family_list(capsys):
+    rc = main(["check-src", "--families", ","])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert "families must not be empty" in captured.err
+    assert captured.out == ""
 
 
 def test_schedule_text_round_trip_through_cli_format():
