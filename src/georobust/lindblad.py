@@ -72,22 +72,43 @@ def standard_channels(system: str, gamma1: float, gamma2: float) -> tuple[Collap
 
 
 def check_density(rho: np.ndarray, name: str = "density matrix") -> None:
-    """Hermiticity, unit trace, and positivity checks with diagnostic messages."""
+    """Hermiticity, unit trace, and positivity checks with diagnostic messages.
+
+    rho is one (d, d) matrix or a (k, d, d) stack, checked with one batched
+    eigvalsh; for a stack the message names the index of the first failing
+    state.
+    """
     rho = np.asarray(rho)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if not np.isfinite(herm) or herm > DENSITY_HERMITIAN_TOL:
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError(f"expected a (d, d) matrix or a (k, d, d) stack, got shape {rho.shape}")
+    stack = rho.reshape(-1, *rho.shape[-2:])
+    adj = stack.conj().transpose(0, 2, 1)
+
+    def first(bad: np.ndarray) -> tuple[int, str]:
+        i = int(np.argmax(bad))
+        return i, name if rho.ndim == 2 else f"{name} (state {i})"
+
+    herm = np.abs(stack - adj).max(axis=(1, 2))
+    bad = ~(herm <= DENSITY_HERMITIAN_TOL)  # a NaN or Inf entry fails here
+    if bad.any():
+        i, label = first(bad)
         raise InvariantError(
-            f"{name} not Hermitian: max deviation {herm:.3e} exceeds {DENSITY_HERMITIAN_TOL:.1e}"
+            f"{label} not Hermitian: max deviation {herm[i]:.3e} "
+            f"exceeds {DENSITY_HERMITIAN_TOL:.1e}"
         )
-    tr_dev = abs(float(np.trace(rho).real) - 1.0)
-    if tr_dev > DENSITY_TRACE_TOL:
+    tr_dev = np.abs(np.trace(stack, axis1=1, axis2=2).real - 1.0)
+    bad = tr_dev > DENSITY_TRACE_TOL
+    if bad.any():
+        i, label = first(bad)
         raise InvariantError(
-            f"{name} trace deviates from 1 by {tr_dev:.3e} (tol {DENSITY_TRACE_TOL:.1e})"
+            f"{label} trace deviates from 1 by {tr_dev[i]:.3e} (tol {DENSITY_TRACE_TOL:.1e})"
         )
-    eig_min = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if eig_min < DENSITY_EIG_FLOOR:
+    eig_min = np.linalg.eigvalsh(0.5 * (stack + adj)).min(axis=1)
+    bad = eig_min < DENSITY_EIG_FLOOR
+    if bad.any():
+        i, label = first(bad)
         raise InvariantError(
-            f"{name} has negative eigenvalue {eig_min:.3e} below floor {DENSITY_EIG_FLOOR:.1e}"
+            f"{label} has negative eigenvalue {eig_min[i]:.3e} below floor {DENSITY_EIG_FLOOR:.1e}"
         )
 
 
@@ -145,15 +166,12 @@ def propagate_density(
     d = schedule.dim
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
         raise ValueError(f"rho0 must be ({d}, {d}) or (k, {d}, {d}), got shape {rho.shape}")
-    stack = rho.reshape(-1, d, d)
-    for mat in stack:
-        check_density(mat, name="initial density matrix")
+    check_density(rho, name="initial density matrix")
     for seg in schedule.segments:
-        flat = stack.reshape(-1, d * d) @ _segment_channel(schedule, seg, channels, beta)
-        stack = flat.reshape(-1, d, d)
-        for mat in stack:
-            check_density(mat, name="density matrix after segment")
-    return stack.reshape(rho.shape)
+        flat = rho.reshape(-1, d * d) @ _segment_channel(schedule, seg, channels, beta)
+        rho = flat.reshape(rho.shape)
+        check_density(rho, name="density matrix after segment")
+    return rho
 
 
 def cardinal_states(dim: int) -> np.ndarray:

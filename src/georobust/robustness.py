@@ -53,7 +53,6 @@ from .pulses import (
     TWO_LEVEL,
     ErrorModel,
     PulseSchedule,
-    PulseSegment,
     bright_dark,
     pulse_area,
     schedule_propagator,
@@ -157,9 +156,19 @@ def _custom_samples(schedule: PulseSchedule, v, steps_per_pi: int):
 
     Each entry is (dt, v_h) with v_h[k] = U^dag(t_k) V(t_k) U(t_k) on a uniform
     grid of the segment. The step count is rounded up to even, so the
-    even-indexed samples form the grid twice as coarse. U is exact per step:
-    H is constant inside each segment, so a step is the closed-form propagator
-    of the segment shortened to the step length.
+    even-indexed samples form the grid twice as coarse.
+
+    U is evaluated in closed form at every grid point. A resonant segment of
+    amplitude a > 0 is a rotation: with K = -2i H / a, K^3 = -K, so
+    P = -K^2 projects onto the driven subspace (the identity on two levels,
+    the bright/excited block on Lambda) and
+
+        exp(-i H s) = (1 - P) + cos(a s / 2) P + sin(a s / 2) K.
+
+    The segment's trajectory is therefore U(t_k) = (1 - P) u + cos_k P u +
+    sin_k K u, with u the propagator at the segment start; a = 0 gives
+    K = P = 0 and U(t_k) = u. V(t) is called once per grid point, and the
+    samples are checked for shape and finiteness before use.
     """
     dim = schedule.dim
     bounds = schedule.boundaries()
@@ -169,15 +178,32 @@ def _custom_samples(schedule: PulseSchedule, v, steps_per_pi: int):
         steps = max(1, math.ceil(steps_per_pi * seg.duration / math.pi))
         steps += steps % 2
         times = np.linspace(bounds[j], bounds[j + 1], steps + 1)
-        dt = times[1] - times[0]
-        step_u = segment_propagator(schedule, PulseSegment(dt, seg.amplitude, seg.phase))
-        traj = np.empty((steps + 1, dim, dim), dtype=complex)
-        traj[0] = u
-        for k in range(steps):
-            traj[k + 1] = step_u @ traj[k]
-        u = traj[-1]
-        v_t = np.array([np.asarray(v(t), dtype=complex) for t in times])
-        out.append((dt, np.einsum("tji,tjk,tkm->tim", traj.conj(), v_t, traj)))
+        v_t = np.array([v(t) for t in times], dtype=complex)
+        if v_t.shape[1:] != (dim, dim):
+            raise ValueError(
+                f"custom V(t) must return a ({dim}, {dim}) matrix, got shape {v_t.shape[1:]}"
+            )
+        finite = np.isfinite(v_t).all(axis=(1, 2))
+        if not finite.all():
+            bad_t = float(times[np.argmin(finite)])
+            raise ValueError(f"custom V(t) is not finite at t={bad_t!r}")
+        amp = seg.amplitude
+        k_op = (-2j / amp) * segment_hamiltonian(schedule, seg) if amp else np.zeros((dim, dim))
+        ku = k_op @ u
+        pu = -(k_op @ ku)
+        half = (0.5 * amp) * (times - times[0])
+        # three (steps + 1, dim, dim) buffers in all: buf holds the sine
+        # term, then V U; traj is conjugated in place and V_H = U^dag (V U)
+        # is written back into v_t
+        buf = np.multiply.outer(np.sin(half), ku)
+        traj = np.multiply.outer(np.cos(half), pu)
+        traj += buf
+        traj += u - pu
+        u = traj[-1].copy()
+        np.matmul(v_t, traj, out=buf)
+        np.conj(traj, out=traj)
+        np.matmul(traj.transpose(0, 2, 1), buf, out=v_t)
+        out.append((times[1] - times[0], v_t))
     return out
 
 
@@ -199,7 +225,8 @@ def d_matrix(
     its V(t) is integrated by the trapezoid rule on one propagated
     trajectory, and with validate=True the even-indexed samples are
     integrated again on the grid twice as coarse and the two must agree,
-    guarding against a too-coarse grid.
+    guarding against a too-coarse grid. A V(t) sample that is not a finite
+    (dim, dim) matrix raises ValueError.
     """
     dim = schedule.dim
     if not schedule.segments:
@@ -217,7 +244,7 @@ def d_matrix(
             dev = float(np.linalg.norm(d_lab - coarse))
             # Trapezoid error is O(h^2), so the half-grid gap is about 3x the
             # error of the fine result; 1e-5 here bounds that error near 3e-6.
-            if dev > 1e-5 * scale:
+            if not dev <= 1e-5 * scale:
                 raise InvariantError(
                     f"d_matrix grid not converged: |D_fine - D_coarse| = {dev:.3e} "
                     f"(tolerance {1e-5 * scale:.1e}); increase steps_per_pi"

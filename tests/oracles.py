@@ -6,7 +6,9 @@ exponential per segment. The references here integrate the same quantities
 directly in time instead: a midpoint-sampled propagator on segment-aligned
 grids built from the eigendecomposition exponential, trapezoid quadrature
 along the propagated trajectory, the frame-sampled dynamical-phase
-quadrature, and an RK4 integration of the master equation. The Kronecker-
+quadrature, and an RK4 integration of the master equation. The package
+evaluates the custom-V(t) trajectory in closed form at every grid point; its
+reference steps along the same grid by repeated products. The Kronecker-
 product Liouvillian gives tests a second, independently assembled generator
 for scipy's exponential. They share no code path with the exact segment sums
 and channels they check. The Hermitian and unitarity checks the integrator
@@ -25,11 +27,13 @@ from georobust import (
     FAMILIES,
     NAMED_GATES,
     InvariantError,
+    PulseSegment,
     auxiliary_basis,
     auxiliary_frame,
     check_density,
     lindblad_rhs,
     segment_hamiltonian,
+    segment_propagator,
 )
 
 HERMITIAN_TOL = 1e-12
@@ -226,6 +230,30 @@ def two_trajectory_d_matrix(schedule, v, steps_per_pi: int = 2000) -> np.ndarray
     if dev > 1e-5 * scale:
         raise InvariantError(f"reference grid not converged: {dev:.3e}")
     return fine
+
+
+def stepped_custom_samples(schedule, v, steps_per_pi: int):
+    """The custom-V(t) samples of robustness._custom_samples, with U(t) built by
+    repeated products of the closed-form one-step propagator instead of in
+    closed form at each grid point (same grid, same (dt, v_h) entries)."""
+    dim = schedule.dim
+    bounds = schedule.boundaries()
+    u = np.eye(dim, dtype=complex)
+    out = []
+    for j, seg in enumerate(schedule.segments):
+        steps = max(1, math.ceil(steps_per_pi * seg.duration / math.pi))
+        steps += steps % 2
+        times = np.linspace(bounds[j], bounds[j + 1], steps + 1)
+        dt = times[1] - times[0]
+        step_u = segment_propagator(schedule, PulseSegment(dt, seg.amplitude, seg.phase))
+        traj = np.empty((steps + 1, dim, dim), dtype=complex)
+        traj[0] = u
+        for k in range(steps):
+            traj[k + 1] = step_u @ traj[k]
+        u = traj[-1]
+        v_t = np.array([np.asarray(v(t), dtype=complex) for t in times])
+        out.append((dt, np.einsum("tji,tjk,tkm->tim", traj.conj(), v_t, traj)))
+    return out
 
 
 def sampled_dynamical_integrals(schedule, samples_per_segment: int = 64) -> np.ndarray:

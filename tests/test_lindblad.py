@@ -27,6 +27,7 @@ from georobust import (
     segment_hamiltonian,
     standard_channels,
 )
+from georobust import lindblad
 from georobust.lindblad import _expm, _segment_channel
 from oracles import FEASIBLE_PAIRS, kron_liouvillian, rk4_propagate_density
 
@@ -90,6 +91,39 @@ def test_check_density_rejects_bad_input():
         check_density(np.eye(2))  # trace 2
     with pytest.raises(InvariantError):
         check_density(np.diag([1.5, -0.5]).astype(complex))  # negative weight
+
+
+@pytest.mark.parametrize(
+    "bad,match",
+    [
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), r"\(state 2\) not Hermitian"),
+        (np.eye(2), r"\(state 2\) trace deviates"),
+        (np.diag([1.5, -0.5]), r"\(state 2\) has negative eigenvalue"),
+    ],
+    ids=["hermitian", "trace", "positivity"],
+)
+def test_check_density_names_first_bad_state_of_a_stack(bad, match):
+    good = random_density(np.random.default_rng(5), 2)
+    check_density(np.array([good, good]))
+    stack = np.array([good, good, bad, bad], dtype=complex)
+    with pytest.raises(InvariantError, match=match):
+        check_density(stack, name="rho")
+    with pytest.raises(ValueError, match="got shape"):
+        check_density(np.ones(4))
+
+
+def test_propagate_density_checks_each_segment_once(monkeypatch):
+    sched = family_build("sr-nhqc", NOT)
+    seen = []
+    real = lindblad.check_density
+
+    def counting(rho, name):
+        seen.append(np.shape(rho))
+        real(rho, name)
+
+    monkeypatch.setattr(lindblad, "check_density", counting)
+    open_gate_metrics(sched, standard_channels("lambda", 1e-4, 1e-4))
+    assert seen == [(6, 3, 3)] * (1 + len(sched.segments))
 
 
 def test_propagate_density_input_validation():

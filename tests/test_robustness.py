@@ -35,11 +35,13 @@ from georobust import (
     src_residual,
     target_unitary,
 )
+from georobust import robustness
 from oracles import (
     FEASIBLE_PAIRS,
     hamiltonian,
     mat_exp_hermitian,
     sampled_dynamical_integrals,
+    stepped_custom_samples,
     trapezoid_error_integrals,
     two_trajectory_d_matrix,
 )
@@ -252,6 +254,97 @@ def test_d_matrix_rejects_underresolved_grid():
     # the same call must pass with validation off
     d_op = d_matrix(sched, err, steps_per_pi=100, validate=False)
     assert np.all(np.isfinite(d_op))
+
+
+def _test_v(dim):
+    """A slowly varying Hermitian V(t) with a detuning and an off-diagonal part."""
+    proj = np.zeros((dim, dim), dtype=complex)
+    proj[-1, -1] = 1.0
+    hop = np.zeros((dim, dim), dtype=complex)
+    hop[0, 1], hop[1, 0] = 0.03j, -0.03j
+    return lambda t: (0.1 + 0.05 * math.cos(0.6 * t + 0.4)) * proj + math.sin(0.9 * t) * hop
+
+
+def _assert_matches_stepped(sched, monkeypatch):
+    """D, D_op and G_op for a custom V on the package's closed-form trajectory
+    agree with the same integrals on the stepped reference trajectory."""
+    err = ErrorModel.custom(0.0, _test_v(sched.dim))
+    closed = (d_matrix(sched, err), *magnus_terms(sched, err))
+    with monkeypatch.context() as patch:
+        patch.setattr(robustness, "_custom_samples", stepped_custom_samples)
+        stepped = (d_matrix(sched, err), *magnus_terms(sched, err))
+    for got, want in zip(closed, stepped):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("family,gate", FEASIBLE_PAIRS)
+def test_custom_trajectory_matches_stepped_reference(family, gate, monkeypatch):
+    _assert_matches_stepped(family_build(family, NAMED_GATES[gate]), monkeypatch)
+
+
+@pytest.mark.parametrize("system", ["two", "lambda"])
+def test_custom_trajectory_through_zero_amplitude_segment(system, monkeypatch):
+    # an undriven segment holds U(t) fixed: with a static V the integrand is
+    # constant there, and the trajectory still matches the stepped reference
+    segs = (PulseSegment(math.pi / 2, 1.0, 0.3), PulseSegment(0.7, 0.0, 1.2),
+            PulseSegment(math.pi, 1.0, -0.5))
+    sched = PulseSchedule(system, segs, theta=0.8)
+    _assert_matches_stepped(sched, monkeypatch)
+    static = np.diag(np.arange(1.0, sched.dim + 1)).astype(complex)
+    samples = robustness._custom_samples(sched, lambda t: static, 2000)
+    u_mid = schedule_propagator(PulseSchedule(system, segs[:1], theta=0.8))
+    want = u_mid.conj().T @ static @ u_mid
+    np.testing.assert_allclose(samples[1][1], np.broadcast_to(want, samples[1][1].shape),
+                               rtol=0, atol=1e-12)
+
+
+def test_custom_v_is_called_once_per_grid_point():
+    sched = PulseSchedule(
+        "two", (PulseSegment(math.pi / 3, 1.0, 0.2), PulseSegment(math.pi, 1.0, 1.1))
+    )
+    # ceil(600 / 3) = 200 and 600 steps, both already even
+    expected = (200 + 1) + (600 + 1)
+    calls = []
+
+    def v(t):
+        calls.append(t)
+        return math.cos(t) * SZ
+
+    for validate in (True, False):
+        calls.clear()
+        d_matrix(sched, ErrorModel.custom(0.0, v), steps_per_pi=600, validate=validate)
+        assert len(calls) == expected
+    calls.clear()
+    magnus_terms(sched, ErrorModel.custom(0.0, v), steps_per_pi=600)
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize(
+    "v,match",
+    [
+        (lambda t: np.full((2, 2), np.nan), r"not finite at t=0\.0"),
+        (lambda t: np.diag([1.0, np.inf]) if t > 1.0 else SZ, r"not finite at t=1\.00"),
+        (lambda t: np.eye(3), r"\(2, 2\) matrix, got shape \(3, 3\)"),
+        (lambda t: 0.5, r"\(2, 2\) matrix, got shape \(\)"),
+    ],
+    ids=["nan", "inf-later", "wrong-shape", "scalar"],
+)
+def test_custom_v_rejects_bad_samples(v, match):
+    sched = family_build("dg", NOT)
+    err = ErrorModel.custom(0.0, v)
+    with pytest.raises(ValueError, match=match):
+        d_matrix(sched, err)
+    with pytest.raises(ValueError, match=match):
+        magnus_terms(sched, err)
+
+
+def test_d_matrix_rejects_overflowing_integral():
+    # finite samples whose integral overflows give a NaN grid deviation,
+    # which must fail the convergence guard rather than pass it
+    sched = family_build("dg", NOT)
+    err = ErrorModel.custom(0.0, v=lambda t: np.full((2, 2), 1e307))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvariantError):
+        d_matrix(sched, err, steps_per_pi=100)
 
 
 def test_magnus_terms_constant_drive():
