@@ -74,7 +74,6 @@ from .sweep import (
     run_sweep,
     sweep_beta,
     sweep_grid,
-    sweep_point,
 )
 
 __version__ = "0.1.0"

@@ -8,6 +8,12 @@ channel exp(duration * G), with the constant d^2 x d^2 generator G built by
 applying lindblad_rhs to the matrix units. A density matrix flattened
 row-major (Havel, J. Math. Phys. 44, 534 (2003)) is a row vector v, mapped to
 v @ exp(duration * G).
+
+The propagation is batched over the error beta: one segment's generators for
+all requested betas form one stack, exponentiated together, and the states of
+every beta are checked with one check_density call per segment. Each member
+of a stack keeps its own scaling, so a batched result has the same bits as the
+one-beta case; propagate_density and open_gate_metrics are that case.
 """
 
 from __future__ import annotations
@@ -113,44 +119,67 @@ def check_density(rho: np.ndarray, name: str = "density matrix") -> None:
 
 
 def lindblad_rhs(rho: np.ndarray, ham: np.ndarray, channels=()) -> np.ndarray:
-    """Right-hand side of the master equation. rho may be a (..., d, d) stack."""
+    """Right-hand side of the master equation. rho may be a (..., d, d) stack and
+    ham a (..., d, d) stack of Hamiltonians; the two broadcast against each other."""
     rho = np.asarray(rho, dtype=complex)
     ham = np.asarray(ham, dtype=complex)
-    d = ham.shape[0]
-    if rho.shape[-2:] != (d, d):
+    d = ham.shape[-1]
+    if rho.shape[-2:] != (d, d) or ham.shape[-2] != d:
         raise ValueError(f"dimension mismatch: rho block {rho.shape[-2:]}, H {ham.shape}")
     out = -1j * (ham @ rho - rho @ ham)
     for ch in channels:
         op = ch.operator
         if op.shape != (d, d):
-            raise ValueError(f"channel operator shape {op.shape} does not match H {ham.shape}")
+            raise ValueError(f"channel operator shape {op.shape} does not match H {ham.shape[-2:]}")
         opd = op.conj().T
         opdop = opd @ op
         out = out + ch.rate * (op @ rho @ opd - 0.5 * (opdop @ rho + rho @ opdop))
     return out
 
 
-def _expm(mat: np.ndarray) -> np.ndarray:
-    """exp(mat) by Taylor scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3, 2003):
-    scaled to 1-norm <= 1/2, 18 terms leave a remainder below 1e-22 of the norm."""
-    norm = float(np.linalg.norm(mat, 1))
-    squarings = math.ceil(math.log2(norm) + 1.0) if 0.5 < norm < math.inf else 0
-    scaled = mat * 0.5**squarings
-    out = term = np.eye(len(mat), dtype=complex)
+def _expm(mats: np.ndarray) -> np.ndarray:
+    """exp of each matrix of an (..., n, n) stack by Taylor scaling and squaring
+    (Moler & Van Loan, SIAM Rev. 45, 3, 2003): each member is scaled to 1-norm
+    <= 1/2 with its own squaring count, and 18 terms leave a remainder below
+    1e-22 of the norm. A member's bits do not depend on the rest of the stack."""
+    norms = np.abs(mats).sum(axis=-2).max(axis=-1)
+    counts = [
+        math.ceil(math.log2(x) + 1.0) if 0.5 < x < math.inf else 0 for x in norms.ravel().tolist()
+    ]
+    squarings = np.array(counts).reshape(norms.shape + (1, 1))
+    scaled = mats * 0.5**squarings
+    out = term = np.eye(mats.shape[-1], dtype=complex)
     for k in range(1, 19):
         term = term @ scaled / k
         out = out + term
-    for _ in range(squarings):
-        out = out @ out
+    for i in range(max(counts, default=0)):
+        # members that need fewer squarings keep their value
+        out = out @ out if i < min(counts) else np.where(squarings > i, out @ out, out)
     return out
 
 
-def _segment_channel(schedule: PulseSchedule, seg, channels=(), beta: float = 0.0) -> np.ndarray:
-    """The exact channel of one segment, acting on row-major vec(rho) rows."""
-    n = schedule.dim**2
-    units = np.eye(n, dtype=complex).reshape(n, schedule.dim, schedule.dim)
-    ham = segment_hamiltonian(schedule, seg, scale=1.0 + beta)
-    return _expm(seg.duration * lindblad_rhs(units, ham, channels).reshape(n, n))
+def _segment_channel(schedule: PulseSchedule, seg, channels, betas) -> np.ndarray:
+    """The exact channels of one segment, one per beta, as a (len(betas), d^2, d^2)
+    stack acting on row-major vec(rho) rows."""
+    d = schedule.dim
+    n = d * d
+    units = np.eye(n, dtype=complex).reshape(n, d, d)
+    hams = np.array([segment_hamiltonian(schedule, seg, scale=1.0 + b) for b in betas])
+    gen = lindblad_rhs(units, hams[:, None], channels).reshape(len(hams), n, n)
+    return _expm(seg.duration * gen)
+
+
+def _propagate(schedule: PulseSchedule, rho: np.ndarray, channels, betas) -> np.ndarray:
+    """rho, one (d, d) matrix or a (k, d, d) stack, after the schedule at each beta,
+    as a (len(betas), k, d, d) stack (k = 1 for a matrix). rho is checked first, then every segment's states over all betas with one
+    check_density call."""
+    check_density(rho, name="initial density matrix")
+    d = schedule.dim
+    flat = rho.reshape(1, -1, d * d).repeat(len(betas), axis=0)
+    for seg in schedule.segments:
+        flat = flat @ _segment_channel(schedule, seg, channels, betas)
+        check_density(flat.reshape(-1, d, d), name="density matrix after segment")
+    return flat.reshape(len(betas), -1, d, d)
 
 
 def propagate_density(
@@ -166,12 +195,7 @@ def propagate_density(
     d = schedule.dim
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
         raise ValueError(f"rho0 must be ({d}, {d}) or (k, {d}, {d}), got shape {rho.shape}")
-    check_density(rho, name="initial density matrix")
-    for seg in schedule.segments:
-        flat = rho.reshape(-1, d * d) @ _segment_channel(schedule, seg, channels, beta)
-        rho = flat.reshape(rho.shape)
-        check_density(rho, name="density matrix after segment")
-    return rho
+    return _propagate(schedule, rho, channels, (beta,)).reshape(rho.shape)
 
 
 def cardinal_states(dim: int) -> np.ndarray:
@@ -199,14 +223,20 @@ def open_gate_metrics(schedule: PulseSchedule, channels=(), beta: float = 0.0) -
     input; fidelity is <psi_t| rho(tau) |psi_t> averaged over the six inputs,
     and leakage is the average population outside the computational subspace.
     """
+    return _open_gate_metrics(schedule, channels, (beta,))[0]
+
+
+def _open_gate_metrics(schedule: PulseSchedule, channels, betas) -> list[tuple[float, float]]:
+    """open_gate_metrics at each beta, propagating all betas as one stack."""
     dim = schedule.dim
     u0 = schedule_propagator(schedule)
     psis = cardinal_states(dim)
     targets = psis @ u0.T
     rho0 = np.einsum("ki,kj->kij", psis, psis.conj())
-    rho_tau = propagate_density(schedule, rho0, channels, beta=beta)
-    fid = np.einsum("ki,kij,kj->k", targets.conj(), rho_tau, targets).real
-    pops = np.einsum("kii->ki", rho_tau).real
-    leak = pops[:, 2:].sum(axis=1) if dim > 2 else np.zeros(len(psis))
-    return float(fid.mean()), float(leak.mean())
-
+    out = []
+    for rho_tau in _propagate(schedule, rho0, channels, betas):
+        fid = np.einsum("ki,kij,kj->k", targets.conj(), rho_tau, targets).real
+        pops = np.einsum("kii->ki", rho_tau).real
+        leak = pops[:, 2:].sum(axis=1) if dim > 2 else np.zeros(len(psis))
+        out.append((float(fid.mean()), float(leak.mean())))
+    return out

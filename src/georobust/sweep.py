@@ -2,11 +2,17 @@
 
 Closed-system points (gamma = 0) score the full-dimension trace fidelity of
 the perturbed propagator against the ideal one. Open points (gamma > 0) apply
-the exact per-segment Lindblad channels (lindblad.open_gate_metrics) and
-average state fidelity over the six cardinal inputs. The two metrics are
+the exact per-segment Lindblad channels (as lindblad.open_gate_metrics does)
+and average state fidelity over the six cardinal inputs. The two metrics are
 different by construction, so the gamma -> 0 limit of the open metric does not
 join the gamma = 0 column; the gamma = 0 column is defined to match the plain
 beta sweep exactly.
+
+Sweeps run serially in one process. Each family's schedule and SRC residual
+are computed once; each gamma > 0 column of a family is propagated in blocks
+of BETA_BLOCK betas, as one stack of channels per segment, which bounds the
+memory a long beta grid needs. A batched point has the same bits as a lone
+one.
 
 CSV rows are sorted by (family, beta, gamma) and floats are written with
 repr(), so rerunning a sweep reproduces the file byte for byte.
@@ -15,15 +21,13 @@ repr(), so rerunning a sweep reproduces the file byte for byte.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, InvariantError
 from .gates import FAMILIES, NAMED_GATES, GateSpec, family_build
-from .lindblad import open_gate_metrics, standard_channels
-from .pulses import PulseSchedule
+from .lindblad import _open_gate_metrics, standard_channels
 from .robustness import (
     d_matrix,
     leakage,
@@ -36,6 +40,7 @@ from .robustness import (
 CSV_HEADER = "family,beta,gamma,fidelity,infidelity,leakage,src_residual"
 DELTA_HEADER = "pair,beta,gamma,delta_fidelity"
 DELTA_PAIRS = (("sr-ngqc", "dg"), ("ngqc", "dg"))
+BETA_BLOCK = 64  # betas per batched open-system propagation
 
 QUADRATIC_TARGETS = {
     "dg": math.pi**2 / 8.0,
@@ -52,17 +57,13 @@ class SweepConfig:
     beta_max: float = 0.1
     beta_points: int = 41
     gammas: tuple[float, ...] = (0.0,)
-    jobs: int = 1
     out: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
-        if not self.families:
-            raise ConfigError("families must not be empty")
-        for fam in self.families:
-            if fam not in FAMILIES:
-                raise ConfigError(f"unknown family {fam!r}, expected one of {FAMILIES}")
+        # + 0.0 turns -0.0 into 0.0, so "-0" neither prints nor counts apart from 0
+        object.__setattr__(self, "gammas", tuple(float(g) + 0.0 for g in self.gammas))
+        _check_families(self.families)
         if self.gate not in NAMED_GATES:
             raise ConfigError(
                 f"unknown gate {self.gate!r}, expected one of {sorted(NAMED_GATES)}"
@@ -73,13 +74,30 @@ class SweepConfig:
             raise ConfigError("|beta| beyond 0.5 is outside the supported error range")
         if self.beta_points < 1:
             raise ConfigError(f"beta_points must be >= 1, got {self.beta_points!r}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs!r}")
         if not self.gammas:
             raise ConfigError("gammas must not be empty")
         for g in self.gammas:
             if not math.isfinite(g) or g < 0:
                 raise ConfigError(f"decoherence rates must be finite and >= 0, got {g!r}")
+        _reject_repeats("gamma", self.gammas)
+
+
+def _reject_repeats(what: str, values) -> None:
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ConfigError(f"{what} {v!r} is given more than once")
+        seen.add(v)
+
+
+def _check_families(families) -> None:
+    """A ConfigError unless families is a non-empty list of distinct known families."""
+    if not families:
+        raise ConfigError("families must not be empty")
+    for fam in families:
+        if fam not in FAMILIES:
+            raise ConfigError(f"unknown family {fam!r}, expected one of {FAMILIES}")
+    _reject_repeats("family", families)
 
 
 @dataclass(frozen=True)
@@ -97,38 +115,34 @@ def beta_grid(config: SweepConfig) -> np.ndarray:
     return np.linspace(config.beta_min, config.beta_max, config.beta_points)
 
 
-def sweep_point(family: str, schedule: PulseSchedule, beta: float, gamma: float) -> SweepRow:
-    """One (family, beta, gamma) measurement of the family's built schedule.
-    Module-level so worker processes can run it."""
-    src = abs(src_residual(schedule))
-    if gamma == 0.0:
-        fid = propagator_fidelity(schedule, beta)
-        leak = leakage(schedule, beta)
-    else:
-        channels = standard_channels(schedule.system, gamma, gamma)
-        fid, leak = open_gate_metrics(schedule, channels, beta=beta)
-    return SweepRow(
-        family=family, beta=float(beta), gamma=float(gamma),
-        fidelity=fid, infidelity=1.0 - fid, leakage=leak, src_residual=src,
-    )
-
-
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """All rows of the configured sweep, already in canonical order."""
-    betas = beta_grid(config)
+    betas = [float(b) for b in beta_grid(config)]
+    gammas = sorted(config.gammas)
     spec = NAMED_GATES[config.gate]
     schedules = {family: family_build(family, spec) for family in config.families}
-    tasks = [
-        (family, schedules[family], float(beta), float(gamma))
-        for family in sorted(config.families)
-        for beta in betas
-        for gamma in sorted(config.gammas)
-    ]
-    if config.jobs == 1:
-        rows = [sweep_point(*t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(sweep_point, *zip(*tasks), chunksize=8))
+    rows = []
+    for family in sorted(config.families):
+        schedule = schedules[family]
+        src = abs(src_residual(schedule))
+        columns = []
+        for gamma in gammas:
+            if gamma == 0.0:
+                columns.append([(propagator_fidelity(schedule, b), leakage(schedule, b)) for b in betas])
+            else:
+                channels = standard_channels(schedule.system, gamma, gamma)
+                columns.append([
+                    point
+                    for i in range(0, len(betas), BETA_BLOCK)
+                    for point in _open_gate_metrics(schedule, channels, betas[i:i + BETA_BLOCK])
+                ])
+        for i, beta in enumerate(betas):
+            for gamma, column in zip(gammas, columns):
+                fid, leak = column[i]
+                rows.append(SweepRow(
+                    family=family, beta=beta, gamma=gamma,
+                    fidelity=fid, infidelity=1.0 - fid, leakage=leak, src_residual=src,
+                ))
     for row in rows:
         _check_row(row)
     return rows
@@ -263,6 +277,7 @@ def report_table1() -> str:
 def check_src_report(families=FAMILIES, gate: str = "not") -> tuple[str, bool]:
     """Closed-form phasor sums vs the exact d_matrix segment sums of the SRC
     element; ok only if every sr-* family passes 1e-6."""
+    _check_families(families)
     spec = NAMED_GATES[gate]
     lines = [f"{'family':<9} {'closed form':<14} {'numeric':<14} {'difference':<12} status"]
     all_ok = True

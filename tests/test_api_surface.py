@@ -7,6 +7,8 @@ names, which must keep working.
 
 import ast
 import pathlib
+import subprocess
+import sys
 import types
 
 import georobust
@@ -27,7 +29,7 @@ PUBLIC_NAMES = {
     "save_schedule", "schedule_from_text", "schedule_propagator", "schedule_to_text",
     "segment_hamiltonian", "segment_propagator", "solve_phase_jumps",
     "src_phasors", "src_residual", "standard_channels", "sweep_beta", "sweep_grid",
-    "sweep_point", "target_unitary",
+    "target_unitary",
 }
 
 
@@ -60,3 +62,34 @@ def test_package_reads_no_environment():
                 if names & {"environ", "environb", "getenv"}:
                     reads.append(f"{path.name}:{node.lineno} from os import {sorted(names)}")
     assert reads == []
+
+
+def test_package_starts_no_workers():
+    # sweeps run serially in one process: no pool, thread or process module
+    banned = {"concurrent", "multiprocessing", "threading"}
+    imports = []
+    for path in sorted(pathlib.Path(georobust.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in banned]
+    assert imports == []
+    probe = "import sys, georobust.cli; print('multiprocessing' in sys.modules)"
+    src = str(pathlib.Path(georobust.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(georobust.cli, "build_parser", refuse)
+    assert georobust.cli.main(["check-src", "--families", "sr-ngqc"]) == 0
+    assert georobust.cli.main(["check-src", "--families", "bogus"]) == 4
+    assert "sr-ngqc" in capsys.readouterr().out

@@ -28,7 +28,7 @@ from georobust import (
     standard_channels,
 )
 from georobust import lindblad
-from georobust.lindblad import _expm, _segment_channel
+from georobust.lindblad import _expm, _open_gate_metrics, _segment_channel
 from oracles import FEASIBLE_PAIRS, kron_liouvillian, rk4_propagate_density
 
 NOT = GateSpec.not_gate()
@@ -251,6 +251,32 @@ def test_expm_matches_scipy():
             assert err < 1e-12, (dim, norm, err)
 
 
+def test_stacked_expm_matches_each_member():
+    # norms on both sides of 1/2, 1 and 2 give the members 0, 1, 2 and 3
+    # squarings, so the stack squares some members more often than others
+    rng = np.random.default_rng(11)
+    norms = (0.0, 0.3, 0.49, 0.51, 0.99, 1.01, 1.9, 2.1, 50.0)
+    for dim in (4, 9):
+        mats = rng.normal(size=(len(norms), dim, dim)) + 1j * rng.normal(size=(len(norms), dim, dim))
+        mats *= np.array(norms)[:, None, None] / np.abs(mats).sum(axis=1).max(axis=1)[:, None, None]
+        stacked = _expm(mats)
+        assert stacked.shape == mats.shape
+        for mat, out in zip(mats, stacked):
+            assert np.array_equal(out, _expm(mat)), dim
+        assert np.array_equal(_expm(mats[::-1]), stacked[::-1])
+
+
+def test_batched_open_metrics_match_single_beta():
+    betas = [-0.1, -0.03, 0.0, 0.02, 0.1]
+    for fam, gate in FEASIBLE_PAIRS:
+        sched = family_build(fam, NAMED_GATES[gate])
+        for gamma in (1e-4, 1e-2):
+            chans = standard_channels(sched.system, gamma, gamma)
+            batched = _open_gate_metrics(sched, chans, betas)
+            single = [open_gate_metrics(sched, chans, beta=b) for b in betas]
+            assert batched == single, (fam, gate, gamma)
+
+
 def test_exact_channel_matches_rk4():
     for fam in ("dg", "nhqc"):
         sched = family_build(fam, NOT)
@@ -295,7 +321,7 @@ def test_segment_channel_is_trace_preserving_and_completely_positive(
     seg = PulseSegment(duration, amplitude, phase)
     sched = PulseSchedule(system, (seg,), theta=theta, phi=phi if system == "lambda" else 0.0)
     d = sched.dim
-    chan = _segment_channel(sched, seg, standard_channels(system, gamma1, gamma2))
+    (chan,) = _segment_channel(sched, seg, standard_channels(system, gamma1, gamma2), (0.0,))
     # Tr(rho') = vec(rho) . (chan @ vec(1)), so trace preservation is chan @ vec(1) = vec(1)
     vec_eye = np.eye(d).reshape(-1)
     assert np.max(np.abs(chan @ vec_eye - vec_eye)) <= 1e-12

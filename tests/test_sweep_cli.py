@@ -1,10 +1,12 @@
 """Sweep configuration, CSV output, the delta companion, and the CLI."""
 
 import math
-from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from georobust import (
     ConfigError,
@@ -24,7 +26,6 @@ from georobust import (
     src_residual,
     sweep_beta,
     sweep_grid,
-    sweep_point,
 )
 from georobust.cli import load_config_file, main
 from georobust.gates import NAMED_GATES, GateSpec
@@ -49,7 +50,7 @@ def test_sweep_config_defaults():
         dict(beta_max=0.7),
         dict(beta_points=0),
         dict(gammas=(math.inf,)),
-        dict(jobs=0),
+        dict(gammas=(0.0, -0.0)),  # -0.0 is 0.0, so this repeats a rate
         dict(gammas=()),
         dict(gammas=(-1e-4,)),
         dict(gammas=(math.nan,)),
@@ -60,9 +61,16 @@ def test_sweep_config_rejects_bad_values(kwargs):
         SweepConfig(**kwargs)
 
 
+def one_point(family, gate, beta, gamma):
+    config = SweepConfig(families=(family,), gate=gate, beta_min=beta, beta_max=beta,
+                         beta_points=1, gammas=(gamma,))
+    (row,) = run_sweep(config)
+    return row
+
+
 def test_sweep_point_closed_matches_direct():
     sched = family_build("dg", GateSpec.not_gate())
-    row = sweep_point("dg", sched, 0.05, 0.0)
+    row = one_point("dg", "not", 0.05, 0.0)
     assert row.family == "dg"
     assert row.fidelity == pytest.approx(propagator_fidelity(sched, 0.05), abs=1e-12)
     assert row.infidelity == pytest.approx(1.0 - row.fidelity, abs=1e-15)
@@ -72,10 +80,28 @@ def test_sweep_point_closed_matches_direct():
 
 def test_sweep_point_open_matches_direct():
     sched = family_build("nhqc", GateSpec.hadamard())
-    row = sweep_point("nhqc", sched, 0.02, 1e-4)
+    row = one_point("nhqc", "hadamard", 0.02, 1e-4)
     fid, leak = open_gate_metrics(sched, standard_channels("lambda", 1e-4, 1e-4), beta=0.02)
     assert row.fidelity == pytest.approx(fid, abs=1e-12)
     assert row.leakage == pytest.approx(leak, abs=1e-12)
+
+
+def test_sweep_config_names_repeated_inputs():
+    with pytest.raises(ConfigError, match="family 'dg' is given more than once"):
+        SweepConfig(families=("dg", "ngqc", "dg"))
+    with pytest.raises(ConfigError, match="gamma 0.0 is given more than once"):
+        SweepConfig(gammas=(0.0, 1e-4, -0.0))
+    assert SweepConfig(gammas=(-0.0, 1e-4)).gammas == (0.0, 1e-4)
+    assert math.copysign(1.0, SweepConfig(gammas=(-0.0,)).gammas[0]) == 1.0
+
+
+def test_beta_blocks_do_not_change_bytes(monkeypatch):
+    import georobust.sweep
+
+    config = SweepConfig(families=("dg", "nhqc"), gammas=(0.0, 1e-3), **SMALL)
+    whole = rows_to_csv(run_sweep(config))
+    monkeypatch.setattr(georobust.sweep, "BETA_BLOCK", 2)
+    assert rows_to_csv(run_sweep(config)) == whole
 
 
 def test_run_sweep_builds_each_family_once(monkeypatch):
@@ -100,13 +126,6 @@ def test_run_sweep_row_order_and_repeatability():
     keys = [(r.family, r.beta, r.gamma) for r in rows]
     assert keys == sorted(keys)
     assert rows_to_csv(rows) == rows_to_csv(run_sweep(config))
-
-
-def test_parallel_sweep_is_byte_identical():
-    config = SweepConfig(families=("dg", "sr-ngqc"), **SMALL)
-    serial = rows_to_csv(run_sweep(config))
-    parallel = rows_to_csv(run_sweep(replace(config, jobs=2)))
-    assert serial == parallel
 
 
 def test_sweep_beta_forces_closed_system():
@@ -304,10 +323,14 @@ def test_cli_sweep_grid_fully_relaxed_point(tmp_path, capsys):
         (["sweep-beta", "--steps-per-pi", "300"], None),
         (["sweep-grid", "--gamma", "0,1e-4", "--steps-per-pi", "300"], None),
         (["sweep-beta"], "steps_per_pi = 300\n"),
+        (["sweep-grid", "--gamma", "0,1e-4", "--jobs", "2"], None),
+        (["sweep-beta"], "jobs = 2\n"),
     ],
 )
 def test_cli_rejects_step_count(tmp_path, capsys, argv, config):
-    # open-system points are exact, so there is no step count to set
+    # open-system points are exact, so there is no step count to set, and
+    # sweeps run serially, so there is no worker count either
+    knob = "jobs" if "jobs" in " ".join(argv) + (config or "") else "steps"
     extra = []
     if config is not None:
         cfg = tmp_path / "sweep.cfg"
@@ -317,7 +340,7 @@ def test_cli_rejects_step_count(tmp_path, capsys, argv, config):
     rc = main([*argv, "--families", "dg", "--beta-points", "2", *extra, "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 4
-    assert "steps" in captured.err
+    assert knob in captured.err
     assert not out.exists()
 
 
@@ -395,3 +418,43 @@ def test_cli_check_src_rejects_empty_family_list(capsys):
 def test_schedule_text_round_trip_through_cli_format():
     sched = family_build("sr-nhqc", GateSpec.not_gate())
     assert schedule_from_text(schedule_to_text(sched)) == sched
+
+
+@pytest.mark.parametrize(
+    "argv, repeated",
+    [
+        (["sweep-beta", "--families", "dg,dg", "--beta-points", "2"], "family 'dg'"),
+        (["sweep-grid", "--families", "dg", "--gamma", "0,1e-4,0", "--beta-points", "2"],
+         "gamma 0.0"),
+        (["sweep-grid", "--families", "dg", "--gamma", "0,-0", "--beta-points", "2"], "gamma 0.0"),
+        (["check-src", "--families", "sr-ngqc,dg,sr-ngqc"], "family 'sr-ngqc'"),
+    ],
+)
+def test_cli_rejects_repeated_inputs(tmp_path, capsys, argv, repeated):
+    out = tmp_path / "out.csv"
+    rc = main([*argv, "--out", str(out)] if argv[0] != "check-src" else argv)
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert f"{repeated} is given more than once" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+ORDER_FAMILIES = ("sr-nhqc", "dg", "sr-ngqc", "ngqc")
+ORDER_GAMMAS = (1e-3, 0.0, 1e-5)
+ORDER_GRID = dict(beta_min=-0.03, beta_max=0.03, beta_points=3)
+
+
+@lru_cache(maxsize=None)
+def canonical_sweep_csv() -> str:
+    config = SweepConfig(families=tuple(sorted(ORDER_FAMILIES)), gammas=tuple(sorted(ORDER_GAMMAS)),
+                         **ORDER_GRID)
+    rows = run_sweep(config)
+    return rows_to_csv(rows) + deltas_to_csv(delta_rows(rows))
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(families=st.permutations(ORDER_FAMILIES), gammas=st.permutations(ORDER_GAMMAS))
+def test_sweep_csv_does_not_depend_on_input_order(families, gammas):
+    rows = run_sweep(SweepConfig(families=tuple(families), gammas=tuple(gammas), **ORDER_GRID))
+    assert rows_to_csv(rows) + deltas_to_csv(delta_rows(rows)) == canonical_sweep_csv()
