@@ -170,9 +170,10 @@ def _segment_channel(schedule: PulseSchedule, seg, channels, betas) -> np.ndarra
 
 
 def _propagate(schedule: PulseSchedule, rho: np.ndarray, channels, betas) -> np.ndarray:
-    """rho, one (d, d) matrix or a (k, d, d) stack, after the schedule at each beta,
-    as a (len(betas), k, d, d) stack (k = 1 for a matrix). rho is checked first, then every segment's states over all betas with one
-    check_density call."""
+    """rho, one (d, d) matrix or a (k, d, d) stack, after the schedule at each
+    beta, as a (len(betas), k, d, d) stack (k = 1 for a matrix). rho is checked
+    first, then every segment's states over all betas with one check_density
+    call."""
     check_density(rho, name="initial density matrix")
     d = schedule.dim
     flat = rho.reshape(1, -1, d * d).repeat(len(betas), axis=0)

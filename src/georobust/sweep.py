@@ -128,7 +128,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         columns = []
         for gamma in gammas:
             if gamma == 0.0:
-                columns.append([(propagator_fidelity(schedule, b), leakage(schedule, b)) for b in betas])
+                columns.append(
+                    [(propagator_fidelity(schedule, b), leakage(schedule, b)) for b in betas]
+                )
             else:
                 channels = standard_channels(schedule.system, gamma, gamma)
                 columns.append([

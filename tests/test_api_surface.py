@@ -76,7 +76,9 @@ def test_package_starts_no_workers():
                 names = [node.module]
             else:
                 continue
-            imports += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in banned]
+            imports += [
+                f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in banned
+            ]
     assert imports == []
     probe = "import sys, georobust.cli; print('multiprocessing' in sys.modules)"
     src = str(pathlib.Path(georobust.__file__).parent.parent)
