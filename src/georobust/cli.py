@@ -201,7 +201,7 @@ def cmd_report_table1(args) -> int:
 
 
 def cmd_check_src(args) -> int:
-    families = tuple(_split_list(args.families)) if args.families else FAMILIES
+    families = tuple(_split_list(args.families)) if args.families is not None else FAMILIES
     text, ok = check_src_report(families, gate=args.gate)
     sys.stdout.write(text)
     return 0 if ok else 2

@@ -218,6 +218,9 @@ def schedule_to_text(schedule: PulseSchedule) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADER_KEYS = ("system", "theta", "phi")
+
+
 def schedule_from_text(text: str) -> PulseSchedule:
     """Parse the text format produced by schedule_to_text (strict)."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
@@ -229,8 +232,12 @@ def schedule_from_text(text: str) -> PulseSchedule:
         if "=" not in tok:
             raise SerializationError(f"malformed header token {tok!r} on line 1")
         key, _, val = tok.partition("=")
+        if key not in _HEADER_KEYS:
+            raise SerializationError(f"unknown header key {key!r} on line 1")
+        if key in fields:
+            raise SerializationError(f"header key {key!r} is given more than once on line 1")
         fields[key] = val
-    missing = {"system", "theta", "phi"} - fields.keys()
+    missing = set(_HEADER_KEYS) - fields.keys()
     if missing:
         raise SerializationError(f"header missing fields: {sorted(missing)}")
     if fields["system"] not in SYSTEMS:

@@ -62,6 +62,14 @@ from .pulses import (
 
 SRC_ALIGNMENT_TOL = 1e-9
 
+# Clenshaw-Curtis rule for a custom V(t): each segment starts with the n + 1
+# Chebyshev-Lobatto nodes of n = 8 and doubles n until its integral moves by
+# at most CC_TOL of its norm. n stops at CC_MAX_NODES, which bounds the V(t)
+# calls per segment at 4097.
+CC_FIRST_NODES = 8
+CC_MAX_NODES = 4096
+CC_TOL = 1e-12
+
 
 def frame_anchor(schedule: PulseSchedule) -> float:
     """Initial frame angle alpha(0): stored in theta for two-level, 0 for Lambda."""
@@ -151,82 +159,131 @@ def _segment_sums(schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray]:
     return d_op, g_comm + d_op @ d_op
 
 
-def _custom_samples(schedule: PulseSchedule, v, steps_per_pi: int):
-    """Interaction-picture samples of a custom V(t), one entry per segment.
+def _v_samples(v, times: np.ndarray, dim: int) -> np.ndarray:
+    """V(t) at each time, checked to be a finite (dim, dim) matrix."""
+    v_t = np.array([v(t) for t in times], dtype=complex)
+    if v_t.shape[1:] != (dim, dim):
+        raise ValueError(
+            f"custom V(t) must return a ({dim}, {dim}) matrix, got shape {v_t.shape[1:]}"
+        )
+    finite = np.isfinite(v_t).all(axis=(1, 2))
+    if not finite.all():
+        bad_t = float(times[np.argmin(finite)])
+        raise ValueError(f"custom V(t) is not finite at t={bad_t!r}")
+    return v_t
 
-    Each entry is (dt, v_h) with v_h[k] = U^dag(t_k) V(t_k) U(t_k) on a uniform
-    grid of the segment. The step count is rounded up to even, so the
-    even-indexed samples form the grid twice as coarse.
 
-    U is evaluated in closed form at every grid point. A resonant segment of
-    amplitude a > 0 is a rotation: with K = -2i H / a, K^3 = -K, so
-    P = -K^2 projects onto the driven subspace (the identity on two levels,
-    the bright/excited block on Lambda) and
+def _segment_sampler(schedule: PulseSchedule, seg, t0: float, u: np.ndarray, v):
+    """The interaction-picture V_H = U^dag V U of one segment, and U at its end.
+
+    The returned sampler maps Chebyshev points x in [-1, 1] to the times
+    t = t0 + (tau / 2)(1 - x), so x = 1 is the segment start, and returns
+    V_H there, calling V(t) once per point. U is evaluated in closed form.
+    A resonant segment of amplitude a > 0 is a rotation: with K = -2i H / a,
+    K^3 = -K, so P = -K^2 projects onto the driven subspace (the identity on
+    two levels, the bright/excited block on Lambda) and
 
         exp(-i H s) = (1 - P) + cos(a s / 2) P + sin(a s / 2) K.
 
-    The segment's trajectory is therefore U(t_k) = (1 - P) u + cos_k P u +
-    sin_k K u, with u the propagator at the segment start; a = 0 gives
-    K = P = 0 and U(t_k) = u. V(t) is called once per grid point, and the
-    samples are checked for shape and finiteness before use.
+    The trajectory is therefore U(s) = (1 - P) u + cos(a s / 2) P u +
+    sin(a s / 2) K u, with u the propagator at the segment start; a = 0 gives
+    K = P = 0 and U(s) = u.
     """
     dim = schedule.dim
+    amp = seg.amplitude
+    k_op = (-2j / amp) * segment_hamiltonian(schedule, seg) if amp else np.zeros((dim, dim))
+    ku = k_op @ u
+    pu = -(k_op @ ku)
+
+    def trajectory(s: np.ndarray) -> np.ndarray:
+        half = (0.5 * amp) * s
+        return np.multiply.outer(np.cos(half), pu) + np.multiply.outer(np.sin(half), ku) + (u - pu)
+
+    def sample(x: np.ndarray) -> np.ndarray:
+        s = (0.5 * seg.duration) * (1.0 - x)
+        v_t = _v_samples(v, t0 + s, dim)
+        traj = trajectory(s)
+        return np.conj(traj).transpose(0, 2, 1) @ (v_t @ traj)
+
+    return sample, trajectory(np.array([seg.duration]))[0]
+
+
+def _lobatto(n: int) -> np.ndarray:
+    """The n + 1 Chebyshev-Lobatto points x_j = cos(pi j / n), from 1 down to -1."""
+    return np.cos(np.pi * np.arange(n + 1) / n)
+
+
+def _chebyshev_coefficients(samples: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients a_0..a_n of the interpolant through samples[j] at
+    x_j = cos(pi j / n): the DCT-I, as one FFT of the even extension."""
+    n = len(samples) - 1
+    coef = np.fft.fft(np.concatenate([samples, samples[-2:0:-1]]), axis=0)[: n + 1] / n
+    coef[0] /= 2.0
+    coef[n] /= 2.0
+    return coef
+
+
+def _cc_integral(tau: float, coef: np.ndarray) -> np.ndarray:
+    """Clenshaw-Curtis integral over a segment of length tau,
+    (tau / 2) sum_{k even} a_k 2 / (1 - k^2)."""
+    k = np.arange(0, len(coef), 2)
+    return (0.5 * tau) * np.tensordot(2.0 / (1.0 - k**2), coef[::2], axes=1)
+
+
+def _custom_segments(schedule: PulseSchedule, v):
+    """V_H = U^dag V U of a custom V(t) on each segment's converged nodes.
+
+    Yields (tau, x, v_h, coef) per segment: the Chebyshev-Lobatto points x,
+    V_H at them and its Chebyshev coefficients. Each segment starts with
+    CC_FIRST_NODES + 1 nodes and doubles n; the points at 2n contain those at
+    n, so V(t) is called only at the new ones. A segment's first node is the
+    previous segment's last, so V(t) is called once per distinct time. The
+    segment has converged once its Clenshaw-Curtis integral moves by at most
+    CC_TOL of its norm (at least 1) under a doubling; past CC_MAX_NODES
+    InvariantError is raised. Every V(t) sample is checked for shape and
+    finiteness before use.
+    """
     bounds = schedule.boundaries()
-    u = np.eye(dim, dtype=complex)
-    out = []
+    u = np.eye(schedule.dim, dtype=complex)
+    edge = None
     for j, seg in enumerate(schedule.segments):
-        steps = max(1, math.ceil(steps_per_pi * seg.duration / math.pi))
-        steps += steps % 2
-        times = np.linspace(bounds[j], bounds[j + 1], steps + 1)
-        v_t = np.array([v(t) for t in times], dtype=complex)
-        if v_t.shape[1:] != (dim, dim):
-            raise ValueError(
-                f"custom V(t) must return a ({dim}, {dim}) matrix, got shape {v_t.shape[1:]}"
-            )
-        finite = np.isfinite(v_t).all(axis=(1, 2))
-        if not finite.all():
-            bad_t = float(times[np.argmin(finite)])
-            raise ValueError(f"custom V(t) is not finite at t={bad_t!r}")
-        amp = seg.amplitude
-        k_op = (-2j / amp) * segment_hamiltonian(schedule, seg) if amp else np.zeros((dim, dim))
-        ku = k_op @ u
-        pu = -(k_op @ ku)
-        half = (0.5 * amp) * (times - times[0])
-        # three (steps + 1, dim, dim) buffers in all: buf holds the sine
-        # term, then V U; traj is conjugated in place and V_H = U^dag (V U)
-        # is written back into v_t
-        buf = np.multiply.outer(np.sin(half), ku)
-        traj = np.multiply.outer(np.cos(half), pu)
-        traj += buf
-        traj += u - pu
-        u = traj[-1].copy()
-        np.matmul(v_t, traj, out=buf)
-        np.conj(traj, out=traj)
-        np.matmul(traj.transpose(0, 2, 1), buf, out=v_t)
-        out.append((times[1] - times[0], v_t))
-    return out
+        sample, u_end = _segment_sampler(schedule, seg, float(bounds[j]), u, v)
+        n = CC_FIRST_NODES
+        x = _lobatto(n)
+        v_h = sample(x) if edge is None else np.concatenate([edge[None], sample(x[1:])])
+        coef = _chebyshev_coefficients(v_h)
+        integral = _cc_integral(seg.duration, coef)
+        dev = math.inf
+        while not dev <= CC_TOL * max(1.0, float(np.linalg.norm(integral))):
+            if n == CC_MAX_NODES:
+                raise InvariantError(
+                    f"custom V(t) quadrature not converged on segment {j}: "
+                    f"|I_{n} - I_{n // 2}| = {dev:.3e} with {n + 1} nodes"
+                )
+            n *= 2
+            x = _lobatto(n)
+            fine = np.empty((n + 1, *v_h.shape[1:]), dtype=complex)
+            fine[::2] = v_h
+            fine[1::2] = sample(x[1::2])
+            v_h = fine
+            coef = _chebyshev_coefficients(v_h)
+            coarse, integral = integral, _cc_integral(seg.duration, coef)
+            # the Frobenius norm is the same in the lab and frame bases
+            dev = float(np.linalg.norm(integral - coarse))
+        yield seg.duration, x, v_h, coef
+        u, edge = u_end, v_h[-1]
 
 
-def _trapezoid(dt: float, samples: np.ndarray) -> np.ndarray:
-    return dt * (samples.sum(axis=0) - 0.5 * (samples[0] + samples[-1]))
-
-
-def d_matrix(
-    schedule: PulseSchedule,
-    error: ErrorModel | None = None,
-    steps_per_pi: int = 2000,
-    validate: bool = True,
-) -> np.ndarray:
+def d_matrix(schedule: PulseSchedule, error: ErrorModel | None = None) -> np.ndarray:
     """First-order error matrix D in the frame-state basis (full square matrix).
 
     error selects V (its beta is irrelevant here); the default is the global
     Rabi error V = H, whose D is the exact segment sum of propagated drive
-    operators. steps_per_pi and validate apply to ErrorModel.custom only:
-    its V(t) is integrated by the trapezoid rule on one propagated
-    trajectory, and with validate=True the even-indexed samples are
-    integrated again on the grid twice as coarse and the two must agree,
-    guarding against a too-coarse grid. A V(t) sample that is not a finite
-    (dim, dim) matrix raises ValueError.
+    operators. An ErrorModel.custom V(t) is integrated by a Clenshaw-Curtis
+    rule on each segment, with the node count doubled until the segment's
+    integral converges to 1e-12 of its norm (see _custom_segments). A segment
+    still unconverged at CC_MAX_NODES raises InvariantError, and a V(t)
+    sample that is not a finite (dim, dim) matrix raises ValueError.
     """
     dim = schedule.dim
     if not schedule.segments:
@@ -235,20 +292,8 @@ def d_matrix(
     if err.kind == "global_rabi":
         d_lab = _segment_sums(schedule)[0]
     else:
-        samples = _custom_samples(schedule, err.v, steps_per_pi)
-        d_lab = sum(_trapezoid(dt, v_h) for dt, v_h in samples)
-        if validate:
-            coarse = sum(_trapezoid(2.0 * dt, v_h[::2]) for dt, v_h in samples)
-            # the Frobenius norm is the same in the lab and frame bases
-            scale = max(1.0, float(np.linalg.norm(d_lab)))
-            dev = float(np.linalg.norm(d_lab - coarse))
-            # Trapezoid error is O(h^2), so the half-grid gap is about 3x the
-            # error of the fine result; 1e-5 here bounds that error near 3e-6.
-            if not dev <= 1e-5 * scale:
-                raise InvariantError(
-                    f"d_matrix grid not converged: |D_fine - D_coarse| = {dev:.3e} "
-                    f"(tolerance {1e-5 * scale:.1e}); increase steps_per_pi"
-                )
+        segments = _custom_segments(schedule, err.v)
+        d_lab = sum(_cc_integral(tau, coef) for tau, _, _, coef in segments)
     frame0 = auxiliary_frame(schedule, 0.0)
     return frame0.conj().T @ d_lab @ frame0
 
@@ -322,7 +367,6 @@ def dynamical_integrals(schedule: PulseSchedule) -> np.ndarray:
 def magnus_terms(
     schedule: PulseSchedule,
     error: ErrorModel | None = None,
-    steps_per_pi: int = 2000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First- and second-order error operators (D_op, G_op) in the lab basis.
 
@@ -333,30 +377,34 @@ def magnus_terms(
 
     The perturbed propagator is then
     U'(tau) = U(tau) (1 - i beta D_op - (beta^2/2) G_op) + O(beta^3).
-    The global Rabi error (the default) is summed exactly over segments;
-    steps_per_pi sets the trapezoid grid for ErrorModel.custom only.
+    The global Rabi error (the default) is summed exactly over segments. For
+    ErrorModel.custom, D_op is d_matrix's Clenshaw-Curtis rule in the lab
+    basis; D(t) at the same nodes is the integral of V_H's Chebyshev
+    interpolant, and the commutator is integrated by the same rule.
     """
     err = _error_model(error)
     if err.kind == "global_rabi":
         return _segment_sums(schedule)
+    # imported here: numpy.polynomial adds about 5 ms to every process that
+    # imports the package, and only this path uses it
+    from numpy.polynomial.chebyshev import chebint, chebval
+
     dim = schedule.dim
     d_cum = np.zeros((dim, dim), dtype=complex)
     g_comm = np.zeros((dim, dim), dtype=complex)
-    for dt, v_h in _custom_samples(schedule, err.v, steps_per_pi):
-        incr = 0.5 * dt * (v_h[1:] + v_h[:-1])
-        d_t = np.concatenate([[d_cum], d_cum + np.cumsum(incr, axis=0)])
-        g_comm += _trapezoid(dt, v_h @ d_t - d_t @ v_h)
-        d_cum = d_t[-1]
+    for tau, x, v_h, coef in _custom_segments(schedule, err.v):
+        # t decreases as x runs from 1 to -1, so dt = -(tau / 2) dx
+        d_seg = chebval(x, chebint(coef, lbnd=1, scl=-0.5 * tau, axis=0))
+        d_t = d_cum + np.moveaxis(d_seg, -1, 0)
+        comm = v_h @ d_t - d_t @ v_h
+        g_comm += _cc_integral(tau, _chebyshev_coefficients(comm))
+        d_cum = d_cum + _cc_integral(tau, coef)
     return d_cum, g_comm + d_cum @ d_cum
 
 
-def magnus_gate_approx(
-    schedule: PulseSchedule,
-    error: ErrorModel,
-    steps_per_pi: int = 2000,
-) -> np.ndarray:
+def magnus_gate_approx(schedule: PulseSchedule, error: ErrorModel) -> np.ndarray:
     """Second-order perturbative approximation to the perturbed propagator."""
-    d_op, g_op = magnus_terms(schedule, error, steps_per_pi)
+    d_op, g_op = magnus_terms(schedule, error)
     u0 = schedule_propagator(schedule)
     beta = error.beta
     eye = np.eye(schedule.dim, dtype=complex)
@@ -373,6 +421,8 @@ def gate_fidelity(u_actual: np.ndarray, u_target: np.ndarray, subspace_dim: int 
     u_actual = np.asarray(u_actual)
     u_target = np.asarray(u_target)
     m = subspace_dim if subspace_dim is not None else u_target.shape[0]
+    if m < 1:
+        raise ValueError(f"subspace_dim must be >= 1, got {m!r}")
     if m > u_actual.shape[0] or m > u_target.shape[0]:
         raise ValueError(
             f"subspace_dim {m} exceeds matrix dimensions "
@@ -408,6 +458,8 @@ def fidelity_prediction(d_op: np.ndarray, beta: float, subspace_dim: int | None 
     """
     d_op = np.asarray(d_op)
     m = subspace_dim if subspace_dim is not None else d_op.shape[0]
+    if m < 1:
+        raise ValueError(f"subspace_dim must be >= 1, got {m!r}")
     if m > d_op.shape[0]:
         raise ValueError(f"subspace_dim {m} exceeds D-matrix dimension {d_op.shape[0]}")
     weight = float(np.sum(np.abs(d_op[:m, :]) ** 2))

@@ -64,10 +64,7 @@ class SweepConfig:
         # + 0.0 turns -0.0 into 0.0, so "-0" neither prints nor counts apart from 0
         object.__setattr__(self, "gammas", tuple(float(g) + 0.0 for g in self.gammas))
         _check_families(self.families)
-        if self.gate not in NAMED_GATES:
-            raise ConfigError(
-                f"unknown gate {self.gate!r}, expected one of {sorted(NAMED_GATES)}"
-            )
+        _check_gate(self.gate)
         if not self.beta_min <= self.beta_max:
             raise ConfigError(f"beta_min {self.beta_min!r} exceeds beta_max {self.beta_max!r}")
         if max(abs(self.beta_min), abs(self.beta_max)) > 0.5:
@@ -98,6 +95,11 @@ def _check_families(families) -> None:
         if fam not in FAMILIES:
             raise ConfigError(f"unknown family {fam!r}, expected one of {FAMILIES}")
     _reject_repeats("family", families)
+
+
+def _check_gate(gate: str) -> None:
+    if gate not in NAMED_GATES:
+        raise ConfigError(f"unknown gate {gate!r}, expected one of {sorted(NAMED_GATES)}")
 
 
 @dataclass(frozen=True)
@@ -280,6 +282,7 @@ def check_src_report(families=FAMILIES, gate: str = "not") -> tuple[str, bool]:
     """Closed-form phasor sums vs the exact d_matrix segment sums of the SRC
     element; ok only if every sr-* family passes 1e-6."""
     _check_families(families)
+    _check_gate(gate)
     spec = NAMED_GATES[gate]
     lines = [f"{'family':<9} {'closed form':<14} {'numeric':<14} {'difference':<12} status"]
     all_ok = True

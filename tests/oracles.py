@@ -7,17 +7,20 @@ directly in time instead: a midpoint-sampled propagator on segment-aligned
 grids built from the eigendecomposition exponential, trapezoid quadrature
 along the propagated trajectory, the frame-sampled dynamical-phase
 quadrature, and an RK4 integration of the master equation. The package
-evaluates the custom-V(t) trajectory in closed form at every grid point; its
-reference steps along the same grid by repeated products. The Kronecker-
-product Liouvillian gives tests a second, independently assembled generator
-for scipy's exponential. They share no code path with the exact segment sums
-and channels they check. The Hermitian and unitarity checks the integrator
+integrates a custom V(t) by a Clenshaw-Curtis rule on closed-form
+trajectories; its reference is Gauss-Legendre quadrature on a trajectory
+stepped from node to node by eigendecomposition exponentials, nested for the
+cumulative integral inside the Magnus commutator term. The Kronecker-product
+Liouvillian gives tests a second, independently assembled generator for
+scipy's exponential. They share no code path with the exact segment sums and
+channels they check. The Hermitian and unitarity checks the integrator
 applies live here too, since only the references use them, and so does the
 list of reachable (family, gate) pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +30,6 @@ from georobust import (
     FAMILIES,
     NAMED_GATES,
     InvariantError,
-    PulseSegment,
     auxiliary_basis,
     auxiliary_frame,
     check_density,
@@ -216,44 +218,57 @@ def trapezoid_error_integrals(schedule, v=None, steps_per_pi: int = 2000):
     return d_frame, d_cum, g_comm + d_cum @ d_cum
 
 
-def two_trajectory_d_matrix(schedule, v, steps_per_pi: int = 2000) -> np.ndarray:
-    """The custom-V D matrix checked on a second, coarse trajectory.
+def _gl_interaction(schedule, seg, t0: float, u: np.ndarray, v, offsets: np.ndarray) -> np.ndarray:
+    """U^dag V U at the increasing times t0 + offsets on one segment. U steps
+    from node to node by products of eigendecomposition exponentials of the
+    segment Hamiltonian, starting from u at t0."""
+    ham = segment_hamiltonian(schedule, seg)
+    check_hermitian(ham, name="segment Hamiltonian")
+    w, vecs = np.linalg.eigh(ham)
+    steps = np.diff(offsets, prepend=0.0)
+    step_props = (vecs * np.exp(-1j * np.multiply.outer(steps, w))[:, None, :]) @ vecs.conj().T
+    props = np.empty_like(step_props)
+    for k, step in enumerate(step_props):
+        u = step @ u
+        props[k] = u
+    v_t = np.array([np.asarray(v(t0 + s), dtype=complex) for s in offsets])
+    return np.einsum("tji,tjk,tkm->tim", props.conj(), v_t, props)
 
-    The result is the trapezoid integral at steps_per_pi; the integral is
-    repeated from a fresh trajectory at max(50, steps_per_pi // 2) and the two
-    must agree within 1e-5 of the result's norm.
+
+def gauss_legendre_error_integrals(schedule, v, nodes: int = 40):
+    """(D in the frame basis, D_op, G_op) for a custom V(t) by Gauss-Legendre
+    quadrature on each segment.
+
+    V_H(t) = U^dag(t) V(t) U(t) uses a trajectory stepped through the nodes
+    (see _gl_interaction), not the package's closed form. D(t) at every outer
+    node is a Gauss-Legendre integral of the same order over the
+    segment up to that node, added to the earlier segments' total, and
+    G_op = integral [V_H, D(t)] dt + D_op^2 is the outer rule applied to the
+    commutator.
     """
-    fine = trapezoid_error_integrals(schedule, v, steps_per_pi)[0]
-    coarse = trapezoid_error_integrals(schedule, v, max(50, steps_per_pi // 2))[0]
-    scale = max(1.0, float(np.linalg.norm(fine)))
-    dev = float(np.linalg.norm(fine - coarse))
-    if dev > 1e-5 * scale:
-        raise InvariantError(f"reference grid not converged: {dev:.3e}")
-    return fine
-
-
-def stepped_custom_samples(schedule, v, steps_per_pi: int):
-    """The custom-V(t) samples of robustness._custom_samples, with U(t) built by
-    repeated products of the closed-form one-step propagator instead of in
-    closed form at each grid point (same grid, same (dt, v_h) entries)."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
     dim = schedule.dim
     bounds = schedule.boundaries()
     u = np.eye(dim, dtype=complex)
-    out = []
+    d_cum = np.zeros((dim, dim), dtype=complex)
+    g_comm = np.zeros((dim, dim), dtype=complex)
     for j, seg in enumerate(schedule.segments):
-        steps = max(1, math.ceil(steps_per_pi * seg.duration / math.pi))
-        steps += steps % 2
-        times = np.linspace(bounds[j], bounds[j + 1], steps + 1)
-        dt = times[1] - times[0]
-        step_u = segment_propagator(schedule, PulseSegment(dt, seg.amplitude, seg.phase))
-        traj = np.empty((steps + 1, dim, dim), dtype=complex)
-        traj[0] = u
-        for k in range(steps):
-            traj[k + 1] = step_u @ traj[k]
-        u = traj[-1]
-        v_t = np.array([np.asarray(v(t), dtype=complex) for t in times])
-        out.append((dt, np.einsum("tji,tjk,tkm->tim", traj.conj(), v_t, traj)))
-    return out
+        sample = functools.partial(_gl_interaction, schedule, seg, float(bounds[j]), u, v)
+        outer = 0.5 * seg.duration * (x + 1.0)
+        v_h = sample(outer)
+        d_t = np.array([
+            d_cum + 0.5 * s * np.einsum("t,tij->ij", w, sample(0.5 * s * (x + 1.0)))
+            for s in outer
+        ])
+        g_comm += 0.5 * seg.duration * np.einsum("t,tij->ij", w, v_h @ d_t - d_t @ v_h)
+        d_cum = d_cum + 0.5 * seg.duration * np.einsum("t,tij->ij", w, v_h)
+        u = mat_exp_hermitian(segment_hamiltonian(schedule, seg), seg.duration) @ u
+    if schedule.segments:
+        frame0 = auxiliary_frame(schedule, 0.0)
+        d_frame = frame0.conj().T @ d_cum @ frame0
+    else:
+        d_frame = d_cum
+    return d_frame, d_cum, g_comm + d_cum @ d_cum
 
 
 def sampled_dynamical_integrals(schedule, samples_per_segment: int = 64) -> np.ndarray:

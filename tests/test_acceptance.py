@@ -123,7 +123,7 @@ def test_criterion_06_src_residuals(schedules):
     ok = True
     for fam, sched in schedules.items():
         closed = src_residual(sched)
-        d_op = d_matrix(sched, steps_per_pi=STEPS_PER_PI)
+        d_op = d_matrix(sched)
         numeric = d_op[0, 1] if sched.dim == 2 else d_op[1, 2]
         agree_tol = 1e-7 if sched.dim == 2 else 1e-8
         agree = abs(closed - numeric)
@@ -144,7 +144,7 @@ def test_criterion_07_magnus_third_order(schedules):
         remainders = []
         for beta in (0.1, 0.05, 0.025):
             exact = schedule_propagator(sched, beta=beta)
-            approx = magnus_gate_approx(sched, ErrorModel.global_rabi(beta), steps_per_pi=STEPS_PER_PI)
+            approx = magnus_gate_approx(sched, ErrorModel.global_rabi(beta))
             remainders.append(np.linalg.norm(exact - approx))
         r1 = remainders[0] / remainders[1]
         r2 = remainders[1] / remainders[2]
@@ -157,7 +157,7 @@ def test_criterion_08_prediction_envelope(schedules):
     betas = np.linspace(-0.1, 0.1, 41)
     worst_ratio = 0.0
     for fam, sched in schedules.items():
-        d_op = d_matrix(sched, steps_per_pi=STEPS_PER_PI)
+        d_op = d_matrix(sched)
         for beta in betas:
             if beta == 0.0:
                 continue

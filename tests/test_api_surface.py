@@ -6,6 +6,7 @@ names, which must keep working.
 """
 
 import ast
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -48,6 +49,22 @@ def test_names_the_benchmark_uses_exist():
         assert callable(getattr(georobust, name)), name
     assert georobust.ErrorModel.custom(0.01, lambda t: None).kind == "custom"
     assert set(georobust.NAMED_GATES) == {"not", "hadamard", "identity", "x90", "z90"}
+
+
+def test_no_public_callable_takes_a_step_count_or_validate_switch():
+    # a custom V(t) converges per segment with no user knob, so no public
+    # function or constructor takes steps_per_pi or validate
+    takes = []
+    for name in sorted(PUBLIC_NAMES):
+        value = getattr(georobust, name)
+        if not callable(value):
+            continue
+        try:
+            params = inspect.signature(value).parameters
+        except (TypeError, ValueError):
+            continue
+        takes += [f"{name}({p})" for p in params if p in ("steps_per_pi", "validate")]
+    assert takes == []
 
 
 def test_package_reads_no_environment():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from georobust import (
     ErrorModel,
@@ -228,6 +230,8 @@ def test_save_and_load(tmp_path):
         "system=two theta=0.0 phi=0.0\n1.0 1.0 abc\n",
         "system=two theta=0.0 phi=0.0\n-1.0 1.0 0.0\n",
         "system=four theta=0.0 phi=0.0\n1.0 1.0 0.0\n",
+        "system=two theta=0.0 phi=0.0 bogus=1 theta=5\n1.0 1.0 0.0\n",  # unknown key
+        "system=two theta=0.0 phi=0.0 theta=5\n1.0 1.0 0.0\n",  # repeated key
     ],
 )
 def test_parse_rejects_malformed_text(text):
@@ -235,8 +239,52 @@ def test_parse_rejects_malformed_text(text):
         schedule_from_text(text)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("system=two theta=0.0 phi=0.0 bogus=1 theta=5", "unknown header key 'bogus' on line 1"),
+        ("system=two theta=0.0 phi=0.0 theta=5",
+         "header key 'theta' is given more than once on line 1"),
+    ],
+)
+def test_parse_names_the_bad_header_key(header, message):
+    with pytest.raises(SerializationError, match=message):
+        schedule_from_text(header + "\n1.0 1.0 0.0\n")
+
+
 def test_parse_error_reports_line_number():
     text = "system=two theta=0.0 phi=0.0\n1.0 1.0 0.0\n1.0 oops 0.0\n"
     with pytest.raises(SerializationError) as exc:
         schedule_from_text(text)
     assert "line 3" in str(exc.value)
+
+
+def _bits(sched):
+    """Every float of a schedule as float.hex, so -0.0 and 0.0 differ."""
+    fields = [sched.theta, sched.phi]
+    for seg in sched.segments:
+        fields += [seg.duration, seg.amplitude, seg.phase]
+    return sched.system, [float(x).hex() for x in fields]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SEGMENTS = st.lists(
+    st.builds(PulseSegment,
+              duration=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+              amplitude=st.floats(min_value=-0.0, allow_infinity=False),
+              phase=FINITE),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(system=st.sampled_from(["two", "lambda"]), segments=SEGMENTS, theta=FINITE, phi=FINITE)
+@example(system="two", segments=[PulseSegment(5e-324, -0.0, -0.0)], theta=-0.0, phi=2.2e-308)
+@example(system="lambda", segments=[PulseSegment(1.7976931348623157e308, 1e300, -1e-310)],
+         theta=-1.7976931348623157e308, phi=-0.0)
+def test_schedule_text_round_trips_bit_for_bit(system, segments, theta, phi):
+    sched = PulseSchedule(system, tuple(segments), theta=theta, phi=phi)
+    text = schedule_to_text(sched)
+    back = schedule_from_text(text)
+    assert _bits(back) == _bits(sched)
+    assert schedule_to_text(back) == text

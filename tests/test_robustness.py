@@ -1,11 +1,14 @@
 """Auxiliary frames, the error matrix D, the super-robust sum, Magnus terms,
 fidelity laws, and geometric phases."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from georobust import (
     ErrorModel,
@@ -26,6 +29,7 @@ from georobust import (
     leakage,
     magnus_gate_approx,
     magnus_terms,
+    open_gate_metrics,
     order_fit,
     propagator_fidelity,
     quadratic_coefficient,
@@ -33,17 +37,17 @@ from georobust import (
     segment_hamiltonian,
     src_phasors,
     src_residual,
+    standard_channels,
     target_unitary,
 )
 from georobust import robustness
 from oracles import (
     FEASIBLE_PAIRS,
+    gauss_legendre_error_integrals,
     hamiltonian,
     mat_exp_hermitian,
     sampled_dynamical_integrals,
-    stepped_custom_samples,
     trapezoid_error_integrals,
-    two_trajectory_d_matrix,
 )
 
 NOT = GateSpec.not_gate()
@@ -163,19 +167,6 @@ def test_empty_schedule_error_integrals_vanish():
         np.testing.assert_array_equal(dynamical_integrals(sched), np.zeros(sched.dim))
 
 
-def test_custom_error_with_odd_step_count_matches_two_trajectories():
-    # a pi/3 segment takes ceil(2000/3) = 667 steps; the single trajectory
-    # rounds that up to 668 and checks itself on the even-indexed samples.
-    # Both grids carry a trapezoid error near 2.4e-7, which changes by about
-    # 2/667 of itself with the extra step
-    sched = PulseSchedule(
-        "two", (PulseSegment(math.pi / 3, 1.0, 0.2), PulseSegment(math.pi, 1.0, 1.1))
-    )
-    v = lambda t: math.cos(0.3 * t) * SZ  # noqa: E731
-    single = d_matrix(sched, ErrorModel.custom(0.0, v))
-    np.testing.assert_allclose(single, two_trajectory_d_matrix(sched, v), rtol=0, atol=1e-9)
-
-
 def test_custom_drive_error_matches_global_rabi():
     # V(t) = H(t) through the custom quadrature reproduces the exact global
     # Rabi sums; one segment per schedule, so no sample sits on a phase jump
@@ -189,7 +180,7 @@ def test_custom_drive_error_matches_global_rabi():
 
 def test_dg_d_matrix():
     sched = family_build("dg", NOT)
-    d_op = d_matrix(sched, steps_per_pi=600)
+    d_op = d_matrix(sched)
     # resonant drives put nothing on the frame diagonal
     assert abs(d_op[0, 0]) < 1e-12
     assert abs(d_op[1, 1]) < 1e-12
@@ -211,7 +202,7 @@ def test_constant_phase_full_loop_src():
 def test_src_closed_form_matches_integral(not_schedules):
     for fam, sched in not_schedules.items():
         closed = src_residual(sched)
-        d_op = d_matrix(sched, steps_per_pi=600)
+        d_op = d_matrix(sched)
         numeric = d_op[0, 1] if sched.dim == 2 else d_op[1, 2]
         tol = 1e-7 if sched.dim == 2 else 1e-8
         assert abs(closed - numeric) < tol, fam
@@ -241,19 +232,24 @@ def test_d_matrix_custom_static_error():
     sched = family_build("dg", NOT)
     sz = np.diag([1.0, -1.0]).astype(complex)
     err = ErrorModel.custom(0.0, v=lambda t: sz)
-    d_op = d_matrix(sched, err, steps_per_pi=2000)
+    d_op = d_matrix(sched, err)
     assert abs(d_op[0, 1] - 2.0j) < 2e-6
 
 
 def test_d_matrix_rejects_underresolved_grid():
+    # cos(4000 t) needs about 2000 pi / 2 Chebyshev modes on [0, pi], more
+    # than the node cap allows; a uniform grid of step pi / 2000 reads
+    # cos = 1 at every sample and would return the static answer 2i
     sched = family_build("dg", NOT)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    err = ErrorModel.custom(0.0, v=lambda t: math.cos(40.0 * t) * sz)
-    with pytest.raises(InvariantError):
-        d_matrix(sched, err, steps_per_pi=100)
-    # the same call must pass with validation off
-    d_op = d_matrix(sched, err, steps_per_pi=100, validate=False)
-    assert np.all(np.isfinite(d_op))
+    err = ErrorModel.custom(0.0, v=lambda t: math.cos(4000.0 * t) * SZ)
+    cap = robustness.CC_MAX_NODES
+    with pytest.raises(InvariantError, match=rf"segment 0: \|I_{cap} - I_{cap // 2}\|"):
+        d_matrix(sched, err)
+    with pytest.raises(InvariantError, match=rf"with {cap + 1} nodes"):
+        magnus_terms(sched, err)
+    # a kink inside a segment converges only algebraically: refused as well
+    with pytest.raises(InvariantError, match=r"segment 0"):
+        d_matrix(sched, ErrorModel.custom(0.0, v=lambda t: abs(t - 1.0) * SZ))
 
 
 def _test_v(dim):
@@ -265,65 +261,107 @@ def _test_v(dim):
     return lambda t: (0.1 + 0.05 * math.cos(0.6 * t + 0.4)) * proj + math.sin(0.9 * t) * hop
 
 
-def _assert_matches_stepped(sched, monkeypatch):
+def _detuning_v(dim, rng):
+    """The benchmark's detuning error (a + b cos(w t + p)) |last><last|, with
+    its parameters drawn from the benchmark's ranges."""
+    a, b = rng.uniform(0.05, 0.2), rng.uniform(0.0, 0.1)
+    w, p = rng.uniform(0.2, 1.0), rng.uniform(0.0, 2 * math.pi)
+    proj = np.zeros((dim, dim), dtype=complex)
+    proj[-1, -1] = 1.0
+    return lambda t: (a + b * math.cos(w * t + p)) * proj
+
+
+def _random_hermitian_v(dim, rng):
+    """V(t) = A + cos(w1 t + p) B + sin(w2 t) C with random Hermitian A, B, C
+    of spectral norm 1/3 each, so |V(t)| <= 1 like a unit error operator."""
+    herm = []
+    for _ in range(3):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m = m + m.conj().T
+        herm.append(m / (3.0 * np.linalg.norm(m, 2)))
+    w1, w2, p = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, 2 * math.pi)
+    return lambda t: herm[0] + math.cos(w1 * t + p) * herm[1] + math.sin(w2 * t) * herm[2]
+
+
+def _assert_matches_stepped(sched, v):
     """D, D_op and G_op for a custom V on the package's closed-form trajectory
-    agree with the same integrals on the stepped reference trajectory."""
-    err = ErrorModel.custom(0.0, _test_v(sched.dim))
-    closed = (d_matrix(sched, err), *magnus_terms(sched, err))
-    with monkeypatch.context() as patch:
-        patch.setattr(robustness, "_custom_samples", stepped_custom_samples)
-        stepped = (d_matrix(sched, err), *magnus_terms(sched, err))
-    for got, want in zip(closed, stepped):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+    agree with the Gauss-Legendre oracle on its stepped trajectory."""
+    err = ErrorModel.custom(0.0, v)
+    got = (d_matrix(sched, err), *magnus_terms(sched, err))
+    want = gauss_legendre_error_integrals(sched, v)
+    for name, g, w in zip(("D", "D_op", "G_op"), got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-11, err_msg=name)
 
 
 @pytest.mark.parametrize("family,gate", FEASIBLE_PAIRS)
-def test_custom_trajectory_matches_stepped_reference(family, gate, monkeypatch):
-    _assert_matches_stepped(family_build(family, NAMED_GATES[gate]), monkeypatch)
+def test_custom_trajectory_matches_stepped_reference(family, gate):
+    sched = family_build(family, NAMED_GATES[gate])
+    rng = np.random.default_rng(FEASIBLE_PAIRS.index((family, gate)))
+    for v in (_detuning_v(sched.dim, rng), _random_hermitian_v(sched.dim, rng)):
+        _assert_matches_stepped(sched, v)
 
 
 @pytest.mark.parametrize("system", ["two", "lambda"])
-def test_custom_trajectory_through_zero_amplitude_segment(system, monkeypatch):
-    # an undriven segment holds U(t) fixed: with a static V the integrand is
-    # constant there, and the trajectory still matches the stepped reference
+def test_custom_trajectory_through_zero_amplitude_segment(system):
+    # an undriven segment holds U(t) fixed, so a static V gives a constant
+    # integrand there
     segs = (PulseSegment(math.pi / 2, 1.0, 0.3), PulseSegment(0.7, 0.0, 1.2),
             PulseSegment(math.pi, 1.0, -0.5))
     sched = PulseSchedule(system, segs, theta=0.8)
-    _assert_matches_stepped(sched, monkeypatch)
     static = np.diag(np.arange(1.0, sched.dim + 1)).astype(complex)
-    samples = robustness._custom_samples(sched, lambda t: static, 2000)
-    u_mid = schedule_propagator(PulseSchedule(system, segs[:1], theta=0.8))
-    want = u_mid.conj().T @ static @ u_mid
-    np.testing.assert_allclose(samples[1][1], np.broadcast_to(want, samples[1][1].shape),
-                               rtol=0, atol=1e-12)
+    for v in (_test_v(sched.dim), lambda t: static):
+        _assert_matches_stepped(sched, v)
+
+
+def test_custom_error_on_unequal_segments():
+    # a pi/3 segment next to a pi segment: the two converge at their own node
+    # counts
+    sched = PulseSchedule(
+        "two", (PulseSegment(math.pi / 3, 1.0, 0.2), PulseSegment(math.pi, 1.0, 1.1))
+    )
+    _assert_matches_stepped(sched, lambda t: math.cos(0.3 * t) * SZ)
+    _assert_matches_stepped(sched, _random_hermitian_v(2, np.random.default_rng(3)))
+
+
+def _assert_lobatto_nodes(sched, calls):
+    """Each segment's calls are the Chebyshev-Lobatto nodes of some n = 2^k,
+    and no time is sampled twice."""
+    assert len(calls) == len(set(calls))
+    calls = np.sort(calls)
+    bounds = sched.boundaries()
+    for j, seg in enumerate(sched.segments):
+        # the shared boundary node belongs to both segments
+        mine = calls[(calls >= bounds[j]) & (calls <= bounds[j + 1])]
+        n = len(mine) - 1
+        assert n >= 2 * robustness.CC_FIRST_NODES and n & (n - 1) == 0, (j, n)
+        want = bounds[j] + 0.5 * seg.duration * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
+        np.testing.assert_allclose(mine, want, rtol=0, atol=1e-14)
 
 
 def test_custom_v_is_called_once_per_grid_point():
     sched = PulseSchedule(
-        "two", (PulseSegment(math.pi / 3, 1.0, 0.2), PulseSegment(math.pi, 1.0, 1.1))
+        "two", (PulseSegment(math.pi / 3, 1.0, 0.2), PulseSegment(math.pi, 1.0, 1.1),
+                PulseSegment(2 * math.pi, 1.0, 0.4))
     )
-    # ceil(600 / 3) = 200 and 600 steps, both already even
-    expected = (200 + 1) + (600 + 1)
     calls = []
 
     def v(t):
         calls.append(t)
-        return math.cos(t) * SZ
+        return math.cos(3.0 * t) * SZ
 
-    for validate in (True, False):
-        calls.clear()
-        d_matrix(sched, ErrorModel.custom(0.0, v), steps_per_pi=600, validate=validate)
-        assert len(calls) == expected
+    d_matrix(sched, ErrorModel.custom(0.0, v))
+    _assert_lobatto_nodes(sched, calls)
+    first = list(calls)
     calls.clear()
-    magnus_terms(sched, ErrorModel.custom(0.0, v), steps_per_pi=600)
-    assert len(calls) == expected
+    magnus_terms(sched, ErrorModel.custom(0.0, v))
+    assert calls == first
 
 
 @pytest.mark.parametrize(
     "v,match",
     [
         (lambda t: np.full((2, 2), np.nan), r"not finite at t=0\.0"),
-        (lambda t: np.diag([1.0, np.inf]) if t > 1.0 else SZ, r"not finite at t=1\.00"),
+        (lambda t: np.diag([1.0, np.inf]) if t > 1.0 else SZ, r"not finite at t=1\.5707963"),
         (lambda t: np.eye(3), r"\(2, 2\) matrix, got shape \(3, 3\)"),
         (lambda t: 0.5, r"\(2, 2\) matrix, got shape \(\)"),
     ],
@@ -339,19 +377,23 @@ def test_custom_v_rejects_bad_samples(v, match):
 
 
 def test_d_matrix_rejects_overflowing_integral():
-    # finite samples whose integral overflows give a NaN grid deviation,
-    # which must fail the convergence guard rather than pass it
+    # finite samples whose integral overflows give a NaN deviation, which
+    # must fail the convergence guard rather than pass it; large samples
+    # that do not overflow integrate to a result that scales linearly
     sched = family_build("dg", NOT)
-    err = ErrorModel.custom(0.0, v=lambda t: np.full((2, 2), 1e307))
+    err = ErrorModel.custom(0.0, v=lambda t: np.full((2, 2), 1e308))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvariantError):
-        d_matrix(sched, err, steps_per_pi=100)
+        d_matrix(sched, err)
+    big = d_matrix(sched, ErrorModel.custom(0.0, v=lambda t: np.full((2, 2), 1e150)))
+    unit = d_matrix(sched, ErrorModel.custom(0.0, v=lambda t: np.ones((2, 2))))
+    np.testing.assert_allclose(big / 1e150, unit, rtol=1e-12)
 
 
 def test_magnus_terms_constant_drive():
     # DG: U(t) commutes with H, so D = H * tau and G = (H * tau)^2
     sched = family_build("dg", NOT)
     ham = segment_hamiltonian(sched, sched.segments[0])
-    d_op, g_op = magnus_terms(sched, steps_per_pi=400)
+    d_op, g_op = magnus_terms(sched)
     np.testing.assert_allclose(d_op, math.pi * ham, atol=1e-9)
     np.testing.assert_allclose(g_op, (math.pi * ham) @ (math.pi * ham), atol=1e-8)
 
@@ -364,7 +406,7 @@ def test_magnus_remainder_is_third_order(not_schedules):
         for beta in (0.1, 0.05, 0.025):
             err = ErrorModel.global_rabi(beta)
             exact = schedule_propagator(sched, beta=beta)
-            approx = magnus_gate_approx(sched, err, steps_per_pi=400)
+            approx = magnus_gate_approx(sched, err)
             remainders.append(np.linalg.norm(exact - approx))
         assert 6.0 < remainders[0] / remainders[1] < 10.0, fam
         assert 6.0 < remainders[1] / remainders[2] < 10.0, fam
@@ -374,7 +416,7 @@ def test_fidelity_prediction_tracks_exact(not_schedules):
     # the first-order D term predicts the trace infidelity to quartic accuracy
     betas = np.linspace(-0.1, 0.1, 21)
     for fam, sched in not_schedules.items():
-        d_op = d_matrix(sched, steps_per_pi=400)
+        d_op = d_matrix(sched)
         for beta in betas:
             if beta == 0:
                 continue
@@ -402,6 +444,21 @@ def test_gate_fidelity_variants():
     assert gate_fidelity(np.eye(3), 1j * np.eye(3)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         gate_fidelity(np.eye(2), np.eye(2), subspace_dim=4)
+    # a block of fewer than one row is no fidelity: -1 gave -1.99 and 0 NaN
+    ub = schedule_propagator(family_build("nhqc", NOT), 0.05)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"subspace_dim must be >= 1, got {bad}"):
+            gate_fidelity(ub, target_unitary(NOT), subspace_dim=bad)
+
+
+def test_fidelity_prediction_rejects_empty_subspace():
+    d_op = d_matrix(family_build("nhqc", NOT))
+    assert fidelity_prediction(d_op, 0.05, subspace_dim=2) < 1.0
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"subspace_dim must be >= 1, got {bad}"):
+            fidelity_prediction(d_op, 0.05, subspace_dim=bad)
+    with pytest.raises(ValueError, match="exceeds D-matrix dimension 3"):
+        fidelity_prediction(d_op, 0.05, subspace_dim=4)
 
 
 def test_leakage_values(not_schedules):
@@ -505,3 +562,27 @@ def test_sr_families_are_quartic(not_schedules):
         infids = np.array([1.0 - propagator_fidelity(not_schedules[fam], b) for b in betas])
         assert order_fit(betas, infids) > 3.7, fam
         assert infids[-1] < 5e-3, fam
+
+
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@given(offset=st.floats(min_value=-2 * math.pi, max_value=2 * math.pi),
+       beta=st.sampled_from([0.0, 0.07, -0.04]))
+@example(offset=0.3, beta=0.0)
+@example(offset=-2.1, beta=0.07)
+@example(offset=math.pi, beta=-0.04)
+def test_phase_offset_leaves_metrics_unchanged(offset, beta):
+    # adding c to every segment phase conjugates the drive by a diagonal
+    # unitary, which no closed- or open-system metric can see
+    for family, gate in FEASIBLE_PAIRS:
+        sched = family_build(family, NAMED_GATES[gate])
+        shifted = dataclasses.replace(sched, segments=tuple(
+            dataclasses.replace(seg, phase=seg.phase + offset) for seg in sched.segments))
+        chans = standard_channels(sched.system, 1e-3, 1e-3)
+        pairs = [
+            (propagator_fidelity(shifted, beta), propagator_fidelity(sched, beta)),
+            (leakage(shifted, beta), leakage(sched, beta)),
+            (abs(src_residual(shifted)), abs(src_residual(sched))),
+            *zip(open_gate_metrics(shifted, chans, 0.05), open_gate_metrics(sched, chans, 0.05)),
+        ]
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-12, (family, gate)

@@ -12,6 +12,7 @@ from georobust import (
     ConfigError,
     SweepConfig,
     beta_grid,
+    check_src_report,
     delta_rows,
     deltas_to_csv,
     family_build,
@@ -408,11 +409,18 @@ def test_cli_check_src_rejects_unknown_family(capsys):
 
 
 def test_cli_check_src_rejects_empty_family_list(capsys):
-    rc = main(["check-src", "--families", ","])
-    captured = capsys.readouterr()
-    assert rc == 4
-    assert "families must not be empty" in captured.err
-    assert captured.out == ""
+    # an empty string is a given, empty list too, not the default
+    for families in (",", ""):
+        rc = main(["check-src", "--families", families])
+        captured = capsys.readouterr()
+        assert rc == 4, families
+        assert "families must not be empty" in captured.err
+        assert captured.out == ""
+
+
+def test_check_src_report_rejects_unknown_gate():
+    with pytest.raises(ConfigError, match=r"unknown gate 'bogus', expected one of \['hadamard'"):
+        check_src_report(("dg",), gate="bogus")
 
 
 def test_schedule_text_round_trip_through_cli_format():
