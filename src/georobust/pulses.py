@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,37 +170,57 @@ class ErrorModel:
         return cls(kind="custom", beta=beta, v=v)
 
 
-def segment_propagator(schedule: PulseSchedule, seg: PulseSegment, scale: float = 1.0) -> np.ndarray:
-    """Closed-form exp(-1j * H_seg * duration) with the amplitude scaled.
-
-    A resonant segment rotates by its pulse area about an equatorial axis, so
-    the exponential reduces to cos/sin of half the area; for the Lambda system
-    the rotation lives in the bright/excited block and the dark state is
-    untouched. Agrees with the eigendecomposition exponential of H_seg to
-    machine precision.
-    """
-    half = 0.5 * scale * seg.area
-    c, s = math.cos(half), math.sin(half)
-    ph = np.exp(1j * seg.phase)
+def _segment_frame(schedule: PulseSchedule, half: float | np.ndarray, phase: float) -> np.ndarray:
+    """The co-moving frame F at frame angle 2 * half on a segment of phase
+    `phase`, as a column matrix (conventions in the robustness module): the
+    rotation by that angle about the segment's equatorial axis, which on
+    Lambda turns the bright/excited pair of F(0) = (dark, bright, e). A
+    segment of area A propagates by F(A) F(0)^dag. An array half of shape S
+    gives an S + (d, d) stack whose members have the bits of the scalar calls.
+    Callers halve the angle themselves: halving is not exact for subnormals."""
+    c, s = np.cos(half), np.sin(half)
+    ph = np.exp(1j * phase)
+    a, b = -1j * s * ph, -1j * s / ph
     if schedule.system == TWO_LEVEL:
-        return np.array([[c, -1j * s * ph], [-1j * s / ph, c]], dtype=complex)
-    bright, dark = bright_dark(schedule.theta, schedule.phi)
-    exc = np.array([0.0, 0.0, 1.0], dtype=complex)
-    basis = np.column_stack([dark, bright, exc])
-    block = np.array(
-        [[1.0, 0.0, 0.0], [0.0, c, -1j * s / ph], [0.0, -1j * s * ph, c]], dtype=complex
-    )
-    return basis @ block @ basis.conj().T
+        frame = np.empty(c.shape + (2, 2), dtype=complex)
+        frame[..., 0, 0] = frame[..., 1, 1] = c
+        frame[..., 0, 1] = a
+        frame[..., 1, 0] = b
+        return frame
+    block = np.zeros(c.shape + (3, 3), dtype=complex)
+    block[..., 0, 0] = 1.0
+    block[..., 1, 1] = block[..., 2, 2] = c
+    block[..., 1, 2] = b
+    block[..., 2, 1] = a
+    return _lambda_basis(schedule.theta, schedule.phi) @ block
 
 
-def schedule_propagator(schedule: PulseSchedule, beta: float = 0.0) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _lambda_basis(theta: float, phi: float) -> np.ndarray:
+    """F(0) of a Lambda schedule, the columns (dark, bright, e); read-only."""
+    bright, dark = bright_dark(theta, phi)
+    basis = np.column_stack([dark, bright, [0.0, 0.0, 1.0]])
+    basis.flags.writeable = False
+    return basis
+
+
+def segment_propagator(schedule: PulseSchedule, seg: PulseSegment, scale=1.0) -> np.ndarray:
+    """Closed-form exp(-1j * H_seg * duration) with the amplitude scaled: the
+    rotation F(scale * area) F(0)^dag of the frame kernel. An array scale of
+    shape S gives an S + (d, d) stack."""
+    rotated = _segment_frame(schedule, 0.5 * scale * seg.area, seg.phase)
+    if schedule.system == TWO_LEVEL:
+        return rotated
+    return rotated @ _lambda_basis(schedule.theta, schedule.phi).conj().T
+
+
+def schedule_propagator(schedule: PulseSchedule, beta: float | np.ndarray = 0.0) -> np.ndarray:
     """Exact propagator of the whole schedule: the ordered product of segment
-    exponentials.
-
-    beta applies the global Rabi error, scaling every amplitude by (1 + beta).
-    An empty schedule gives the identity.
-    """
-    u = np.eye(schedule.dim, dtype=complex)
+    exponentials, with every amplitude scaled by (1 + beta) (the global Rabi
+    error); the identity for an empty schedule. A 1-D array of n betas gives
+    an (n, d, d) stack whose members have the bits of the scalar calls."""
+    dim = schedule.dim
+    u = np.full(np.asarray(beta).shape + (dim, dim), np.eye(dim), dtype=complex)
     for seg in schedule.segments:
         u = segment_propagator(schedule, seg, scale=1.0 + beta) @ u
     return u

@@ -53,7 +53,7 @@ from .pulses import (
     TWO_LEVEL,
     ErrorModel,
     PulseSchedule,
-    bright_dark,
+    _segment_frame,
     pulse_area,
     schedule_propagator,
     segment_hamiltonian,
@@ -104,38 +104,25 @@ class AuxiliaryBasis:
 
 
 def auxiliary_basis(schedule: PulseSchedule, samples_per_segment: int = 64) -> AuxiliaryBasis:
-    """Sample the analytic co-moving frame across the schedule."""
+    """Sample the analytic co-moving frame across the schedule, one frame
+    kernel call per segment. A segment's last sample is its own end, so at an
+    interior boundary it keeps the earlier segment's phase."""
     if not schedule.segments:
         raise ValueError("schedule has no segments")
     bounds = schedule.boundaries()
-    times, frames = [], []
-    for j in range(len(schedule.segments)):
-        for t in np.linspace(bounds[j], bounds[j + 1], samples_per_segment):
-            frames.append(_frame_in_segment(schedule, j, float(t)))
-            times.append(float(t))
-    return AuxiliaryBasis(times=np.array(times), frames=np.array(frames))
+    times = [np.linspace(t0, t1, samples_per_segment) for t0, t1 in zip(bounds, bounds[1:])]
+    frames = [_frame_in_segment(schedule, j, t) for j, t in enumerate(times)]
+    return AuxiliaryBasis(times=np.concatenate(times), frames=np.concatenate(frames))
 
 
-def _frame_in_segment(schedule: PulseSchedule, seg_index: int, t: float) -> np.ndarray:
-    """auxiliary_frame with the segment pinned explicitly (boundary-safe)."""
+def _frame_in_segment(schedule: PulseSchedule, seg_index: int, t) -> np.ndarray:
+    """auxiliary_frame with the segment pinned explicitly (boundary-safe); t may
+    be an array of times, giving a stack of frames."""
     seg = schedule.segments[seg_index]
     bounds = schedule.boundaries()
     area = sum(s.area for s in schedule.segments[:seg_index])
     alpha = frame_anchor(schedule) + area + (t - bounds[seg_index]) * seg.amplitude
-    half = alpha / 2.0
-    c, s = math.cos(half), math.sin(half)
-    ph = np.exp(1j * seg.phase)
-    if schedule.system == TWO_LEVEL:
-        return np.array([[c, -1j * s * ph], [-1j * s / ph, c]], dtype=complex)
-    bright, dark = bright_dark(schedule.theta, schedule.phi)
-    exc = np.array([0.0, 0.0, 1.0], dtype=complex)
-    mu2 = c * bright - 1j * s * ph * exc
-    mu3 = -1j * s / ph * bright + c * exc
-    return np.column_stack([dark, mu2, mu3])
-
-
-def _error_model(error: ErrorModel | None) -> ErrorModel:
-    return error if error is not None else ErrorModel.global_rabi(0.0)
+    return _segment_frame(schedule, alpha / 2.0, seg.phase)
 
 
 def _segment_sums(schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray]:
@@ -178,34 +165,22 @@ def _segment_sampler(schedule: PulseSchedule, seg, t0: float, u: np.ndarray, v):
 
     The returned sampler maps Chebyshev points x in [-1, 1] to the times
     t = t0 + (tau / 2)(1 - x), so x = 1 is the segment start, and returns
-    V_H there, calling V(t) once per point. U is evaluated in closed form.
-    A resonant segment of amplitude a > 0 is a rotation: with K = -2i H / a,
-    K^3 = -K, so P = -K^2 projects onto the driven subspace (the identity on
-    two levels, the bright/excited block on Lambda) and
-
-        exp(-i H s) = (1 - P) + cos(a s / 2) P + sin(a s / 2) K.
-
-    The trajectory is therefore U(s) = (1 - P) u + cos(a s / 2) P u +
-    sin(a s / 2) K u, with u the propagator at the segment start; a = 0 gives
-    K = P = 0 and U(s) = u.
+    V_H there, calling V(t) once per point. U is the frame kernel: a time s
+    into the segment, U(s) = F(amp s) F(0)^dag u, with u the propagator at
+    the segment start.
     """
     dim = schedule.dim
-    amp = seg.amplitude
-    k_op = (-2j / amp) * segment_hamiltonian(schedule, seg) if amp else np.zeros((dim, dim))
-    ku = k_op @ u
-    pu = -(k_op @ ku)
-
-    def trajectory(s: np.ndarray) -> np.ndarray:
-        half = (0.5 * amp) * s
-        return np.multiply.outer(np.cos(half), pu) + np.multiply.outer(np.sin(half), ku) + (u - pu)
+    start = _segment_frame(schedule, 0.0, seg.phase).conj().T @ u
 
     def sample(x: np.ndarray) -> np.ndarray:
         s = (0.5 * seg.duration) * (1.0 - x)
         v_t = _v_samples(v, t0 + s, dim)
-        traj = trajectory(s)
+        frames = _segment_frame(schedule, (0.5 * seg.amplitude) * s, seg.phase)
+        # every row of every frame times start: one (len(x) * dim, dim) product
+        traj = (frames.reshape(-1, dim) @ start).reshape(frames.shape)
         return np.conj(traj).transpose(0, 2, 1) @ (v_t @ traj)
 
-    return sample, trajectory(np.array([seg.duration]))[0]
+    return sample, _segment_frame(schedule, 0.5 * seg.area, seg.phase) @ start
 
 
 def _lobatto(n: int) -> np.ndarray:
@@ -227,7 +202,7 @@ def _cc_integral(tau: float, coef: np.ndarray) -> np.ndarray:
     """Clenshaw-Curtis integral over a segment of length tau,
     (tau / 2) sum_{k even} a_k 2 / (1 - k^2)."""
     k = np.arange(0, len(coef), 2)
-    return (0.5 * tau) * np.tensordot(2.0 / (1.0 - k**2), coef[::2], axes=1)
+    return (0.5 * tau) * np.einsum("k,k...->...", 2.0 / (1.0 - k**2), coef[::2])
 
 
 def _custom_segments(schedule: PulseSchedule, v):
@@ -254,11 +229,11 @@ def _custom_segments(schedule: PulseSchedule, v):
         coef = _chebyshev_coefficients(v_h)
         integral = _cc_integral(seg.duration, coef)
         dev = math.inf
-        while not dev <= CC_TOL * max(1.0, float(np.linalg.norm(integral))):
+        while not dev <= CC_TOL:
             if n == CC_MAX_NODES:
                 raise InvariantError(
                     f"custom V(t) quadrature not converged on segment {j}: "
-                    f"|I_{n} - I_{n // 2}| = {dev:.3e} with {n + 1} nodes"
+                    f"|I_{n} - I_{n // 2}| / max(1, |I_{n}|) = {dev:.3e} with {n + 1} nodes"
                 )
             n *= 2
             x = _lobatto(n)
@@ -268,8 +243,11 @@ def _custom_segments(schedule: PulseSchedule, v):
             v_h = fine
             coef = _chebyshev_coefficients(v_h)
             coarse, integral = integral, _cc_integral(seg.duration, coef)
-            # the Frobenius norm is the same in the lab and frame bases
-            dev = float(np.linalg.norm(integral - coarse))
+            # Frobenius norms (the same in the lab and frame bases) of the
+            # integrals divided by their largest entry, so they cannot overflow
+            scale = max(1.0, float(np.abs(integral).max()))
+            dev = float(np.linalg.norm((integral - coarse) / scale)) / max(
+                1.0 / scale, float(np.linalg.norm(integral / scale)))
         yield seg.duration, x, v_h, coef
         u, edge = u_end, v_h[-1]
 
@@ -288,11 +266,10 @@ def d_matrix(schedule: PulseSchedule, error: ErrorModel | None = None) -> np.nda
     dim = schedule.dim
     if not schedule.segments:
         return np.zeros((dim, dim), dtype=complex)
-    err = _error_model(error)
-    if err.kind == "global_rabi":
+    if error is None or error.kind == "global_rabi":
         d_lab = _segment_sums(schedule)[0]
     else:
-        segments = _custom_segments(schedule, err.v)
+        segments = _custom_segments(schedule, error.v)
         d_lab = sum(_cc_integral(tau, coef) for tau, _, _, coef in segments)
     frame0 = auxiliary_frame(schedule, 0.0)
     return frame0.conj().T @ d_lab @ frame0
@@ -382,8 +359,7 @@ def magnus_terms(
     basis; D(t) at the same nodes is the integral of V_H's Chebyshev
     interpolant, and the commutator is integrated by the same rule.
     """
-    err = _error_model(error)
-    if err.kind == "global_rabi":
+    if error is None or error.kind == "global_rabi":
         return _segment_sums(schedule)
     # imported here: numpy.polynomial adds about 5 ms to every process that
     # imports the package, and only this path uses it
@@ -392,7 +368,7 @@ def magnus_terms(
     dim = schedule.dim
     d_cum = np.zeros((dim, dim), dtype=complex)
     g_comm = np.zeros((dim, dim), dtype=complex)
-    for tau, x, v_h, coef in _custom_segments(schedule, err.v):
+    for tau, x, v_h, coef in _custom_segments(schedule, error.v):
         # t decreases as x runs from 1 to -1, so dt = -(tau / 2) dx
         d_seg = chebval(x, chebint(coef, lbnd=1, scl=-0.5 * tau, axis=0))
         d_t = d_cum + np.moveaxis(d_seg, -1, 0)
@@ -435,17 +411,22 @@ def gate_fidelity(u_actual: np.ndarray, u_target: np.ndarray, subspace_dim: int 
 
 def propagator_fidelity(schedule: PulseSchedule, beta: float) -> float:
     """Trace fidelity of the beta-perturbed schedule against its own ideal."""
-    u0 = schedule_propagator(schedule)
-    ub = schedule_propagator(schedule, beta)
-    return gate_fidelity(ub, u0)
+    return _closed_gate_metrics(schedule, [beta])[0][0]
 
 
 def leakage(schedule: PulseSchedule, beta: float = 0.0) -> float:
     """Mean population leaked out of the computational subspace (0 for two-level)."""
-    if schedule.system == TWO_LEVEL:
-        return 0.0
-    u = schedule_propagator(schedule, beta)
-    return float(0.5 * (abs(u[2, 0]) ** 2 + abs(u[2, 1]) ** 2))
+    return _closed_gate_metrics(schedule, [beta])[0][1]
+
+
+def _closed_gate_metrics(schedule: PulseSchedule, betas) -> list[tuple[float, float]]:
+    """(propagator_fidelity, leakage) at each beta from one stack of propagators,
+    u0 (beta = 0) first. Each modulus is taken alone, because numpy's
+    vectorized complex abs can differ from the scalar one in the last bit."""
+    props = schedule_propagator(schedule, np.array([0.0, *betas]))
+    traces = np.trace(props[0].conj().T @ props[1:], axis1=1, axis2=2)
+    leaks = [abs(u[2, 0]) ** 2 + abs(u[2, 1]) ** 2 if schedule.dim > 2 else 0.0 for u in props[1:]]
+    return [(float(abs(tr) / schedule.dim), float(0.5 * lk)) for tr, lk in zip(traces, leaks)]
 
 
 def fidelity_prediction(d_op: np.ndarray, beta: float, subspace_dim: int | None = None) -> float:

@@ -9,9 +9,10 @@ join the gamma = 0 column; the gamma = 0 column is defined to match the plain
 beta sweep exactly.
 
 Sweeps run serially in one process. Each family's schedule and SRC residual
-are computed once; each gamma > 0 column of a family is propagated in blocks
-of BETA_BLOCK betas, as one stack of channels per segment, which bounds the
-memory a long beta grid needs. A batched point has the same bits as a lone
+are computed once, and each column of a family is propagated in blocks of
+BETA_BLOCK betas, which bounds the memory a long beta grid needs: the gamma =
+0 column as one stack of closed-form propagators, a gamma > 0 column as one
+stack of channels per segment. A batched point has the same bits as a lone
 one.
 
 CSV rows are sorted by (family, beta, gamma) and floats are written with
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -29,10 +31,9 @@ from .errors import ConfigError, InvariantError
 from .gates import FAMILIES, NAMED_GATES, GateSpec, family_build
 from .lindblad import _open_gate_metrics, standard_channels
 from .robustness import (
+    _closed_gate_metrics,
     d_matrix,
-    leakage,
     order_fit,
-    propagator_fidelity,
     quadratic_coefficient,
     src_residual,
 )
@@ -40,7 +41,7 @@ from .robustness import (
 CSV_HEADER = "family,beta,gamma,fidelity,infidelity,leakage,src_residual"
 DELTA_HEADER = "pair,beta,gamma,delta_fidelity"
 DELTA_PAIRS = (("sr-ngqc", "dg"), ("ngqc", "dg"))
-BETA_BLOCK = 64  # betas per batched open-system propagation
+BETA_BLOCK = 64  # betas per batched propagation
 
 QUADRATIC_TARGETS = {
     "dg": math.pi**2 / 8.0,
@@ -130,16 +131,15 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         columns = []
         for gamma in gammas:
             if gamma == 0.0:
-                columns.append(
-                    [(propagator_fidelity(schedule, b), leakage(schedule, b)) for b in betas]
-                )
+                metrics = partial(_closed_gate_metrics, schedule)
             else:
                 channels = standard_channels(schedule.system, gamma, gamma)
-                columns.append([
-                    point
-                    for i in range(0, len(betas), BETA_BLOCK)
-                    for point in _open_gate_metrics(schedule, channels, betas[i:i + BETA_BLOCK])
-                ])
+                metrics = partial(_open_gate_metrics, schedule, channels)
+            columns.append([
+                point
+                for i in range(0, len(betas), BETA_BLOCK)
+                for point in metrics(betas[i:i + BETA_BLOCK])
+            ])
         for i, beta in enumerate(betas):
             for gamma, column in zip(gammas, columns):
                 fid, leak = column[i]
@@ -173,11 +173,9 @@ def sweep_grid(config: SweepConfig) -> list[SweepRow]:
 def delta_rows(rows: list[SweepRow]) -> list[tuple[str, float, float, float]]:
     """Fidelity differences for the standard family pairs, per (beta, gamma)."""
     table = {(r.family, r.beta, r.gamma): r.fidelity for r in rows}
-    present = {r.family for r in rows}
     out = []
     for fam_a, fam_b in DELTA_PAIRS:
-        if fam_a not in present or fam_b not in present:
-            continue
+        # a pair with an absent family has no common keys
         keys = sorted(
             {(r.beta, r.gamma) for r in rows if r.family == fam_a}
             & {(r.beta, r.gamma) for r in rows if r.family == fam_b}
@@ -251,9 +249,10 @@ def report_table1() -> str:
     for family in FAMILIES:
         schedule = family_build(family, spec)
         dur = f"{schedule.duration / math.pi:.4g}*pi"
-        if family in QUADRATIC_TARGETS:
-            betas = np.linspace(-0.05, 0.05, 21)
-            infs = np.array([1.0 - propagator_fidelity(schedule, b) for b in betas])
+        quadratic = family in QUADRATIC_TARGETS
+        betas = np.linspace(-0.05, 0.05, 21) if quadratic else np.linspace(0.02, 0.1, 9)
+        infs = np.array([1.0 - fid for fid, _ in _closed_gate_metrics(schedule, betas)])
+        if quadratic:
             coeff = quadratic_coefficient(betas, infs)
             target = QUADRATIC_TARGETS[family]
             ok = abs(coeff - target) <= 0.03 * target
@@ -262,10 +261,8 @@ def report_table1() -> str:
                 f"{coeff:<12.6f} {target:<16.6f} {'PASS' if ok else 'FAIL'}"
             )
         else:
-            betas = np.linspace(0.02, 0.1, 9)
-            infs = np.array([1.0 - propagator_fidelity(schedule, b) for b in betas])
             slope = order_fit(betas, infs)
-            worst = float(1.0 - propagator_fidelity(schedule, 0.1))
+            worst = float(infs[-1])  # linspace ends exactly at 0.1
             ok = slope >= 3.7
             lines.append(
                 f"{family:<9} {dur:<10} {'log-log slope':<22} "

@@ -13,7 +13,9 @@ stepped from node to node by eigendecomposition exponentials, nested for the
 cumulative integral inside the Magnus commutator term. The Kronecker-product
 Liouvillian gives tests a second, independently assembled generator for
 scipy's exponential. They share no code path with the exact segment sums and
-channels they check. The Hermitian and unitarity checks the integrator
+channels they check. The scalar segment propagator and co-moving frame are
+also written out here, one matrix at a time with Python floats, as bit
+references for the package's broadcasting rotation kernel. The Hermitian and unitarity checks the integrator
 applies live here too, since only the references use them, and so does the
 list of reachable (family, gate) pairs.
 """
@@ -32,7 +34,9 @@ from georobust import (
     InvariantError,
     auxiliary_basis,
     auxiliary_frame,
+    bright_dark,
     check_density,
+    frame_anchor,
     lindblad_rhs,
     segment_hamiltonian,
     segment_propagator,
@@ -81,6 +85,43 @@ def check_unitary(op: np.ndarray, tol: float = UNITARY_TOL, name: str = "operato
         raise InvariantError(
             f"{name} is not unitary: max |U^dag U - 1| = {dev:.3e} exceeds tol {tol:.1e}"
         )
+
+
+def reference_segment_propagator(schedule, seg, scale: float = 1.0) -> np.ndarray:
+    """exp(-1j * H_seg * duration) with the amplitude scaled, as cos/sin of half
+    the scaled area; on Lambda the rotation is basis @ block @ basis^dag in the
+    (dark, bright, e) basis."""
+    half = 0.5 * scale * seg.area
+    c, s = math.cos(half), math.sin(half)
+    ph = np.exp(1j * seg.phase)
+    if schedule.system == "two":
+        return np.array([[c, -1j * s * ph], [-1j * s / ph, c]], dtype=complex)
+    bright, dark = bright_dark(schedule.theta, schedule.phi)
+    exc = np.array([0.0, 0.0, 1.0], dtype=complex)
+    basis = np.column_stack([dark, bright, exc])
+    block = np.array(
+        [[1.0, 0.0, 0.0], [0.0, c, -1j * s / ph], [0.0, -1j * s * ph, c]], dtype=complex
+    )
+    return basis @ block @ basis.conj().T
+
+
+def reference_frame(schedule, seg_index: int, t: float) -> np.ndarray:
+    """The co-moving frame at time t on segment seg_index (the conventions of
+    the robustness module docstring), built column by column."""
+    seg = schedule.segments[seg_index]
+    bounds = schedule.boundaries()
+    area = sum(s.area for s in schedule.segments[:seg_index])
+    alpha = frame_anchor(schedule) + area + (t - bounds[seg_index]) * seg.amplitude
+    half = alpha / 2.0
+    c, s = math.cos(half), math.sin(half)
+    ph = np.exp(1j * seg.phase)
+    if schedule.system == "two":
+        return np.array([[c, -1j * s * ph], [-1j * s / ph, c]], dtype=complex)
+    bright, dark = bright_dark(schedule.theta, schedule.phi)
+    exc = np.array([0.0, 0.0, 1.0], dtype=complex)
+    mu2 = c * bright - 1j * s * ph * exc
+    mu3 = -1j * s / ph * bright + c * exc
+    return np.column_stack([dark, mu2, mu3])
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,15 @@ from georobust import (
     segment_hamiltonian,
     segment_propagator,
 )
-from oracles import TimeGrid, hamiltonian, mat_exp_hermitian, propagate_unitary
+from georobust import robustness
+from oracles import (
+    TimeGrid,
+    hamiltonian,
+    mat_exp_hermitian,
+    propagate_unitary,
+    reference_frame,
+    reference_segment_propagator,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -189,6 +197,61 @@ def test_schedule_propagator_beta_equals_scaled_amplitudes():
 
 def test_empty_schedule_propagator_is_identity():
     np.testing.assert_allclose(schedule_propagator(two_level()), np.eye(2))
+    for sched in (two_level(), lam()):
+        stack = schedule_propagator(sched, np.array([-0.1, 0.0, 0.2]))
+        assert stack.shape == (3, sched.dim, sched.dim)
+        assert np.array_equal(stack, np.broadcast_to(np.eye(sched.dim), stack.shape))
+
+
+KERNEL_ANGLE = st.floats(-10.0, 10.0)
+KERNEL_SEGMENTS = st.lists(
+    st.builds(PulseSegment,
+              duration=st.floats(0.01, 5.0),
+              amplitude=st.just(0.0) | st.floats(0.0, 3.0),
+              phase=KERNEL_ANGLE),
+    max_size=4,
+)
+BETA_ARRAYS = st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=8).map(np.array)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(system=st.sampled_from(["two", "lambda"]), segments=KERNEL_SEGMENTS,
+       theta=KERNEL_ANGLE, phi=KERNEL_ANGLE, betas=BETA_ARRAYS)
+def test_stacked_propagators_match_scalar_reference_bit_for_bit(system, segments, theta, phi,
+                                                                betas):
+    sched = PulseSchedule(system, tuple(segments), theta=theta, phi=phi)
+    stack = schedule_propagator(sched, betas)
+    assert stack.shape == (len(betas), sched.dim, sched.dim)
+    seg_stacks = [segment_propagator(sched, seg, scale=1.0 + betas) for seg in sched.segments]
+    for i, beta in enumerate(betas.tolist()):
+        ref = np.eye(sched.dim, dtype=complex)
+        for seg, seg_stack in zip(sched.segments, seg_stacks):
+            seg_ref = reference_segment_propagator(sched, seg, 1.0 + beta)
+            assert np.array_equal(seg_stack[i], seg_ref)
+            assert np.array_equal(segment_propagator(sched, seg, 1.0 + beta), seg_ref)
+            ref = seg_ref @ ref
+        assert np.array_equal(stack[i], ref)
+        assert np.array_equal(schedule_propagator(sched, beta), ref)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(system=st.sampled_from(["two", "lambda"]), segments=KERNEL_SEGMENTS.filter(bool),
+       theta=KERNEL_ANGLE, phi=st.just(0.0) | KERNEL_ANGLE,
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), data=st.data())
+def test_stacked_frames_match_scalar_reference(system, segments, theta, phi, fractions, data):
+    sched = PulseSchedule(system, tuple(segments), theta=theta, phi=phi)
+    j = data.draw(st.integers(0, len(segments) - 1))
+    times = sched.boundaries()[j] + np.array(fractions) * segments[j].duration
+    stack = robustness._frame_in_segment(sched, j, times)
+    for frame, t in zip(stack, times.tolist()):
+        assert np.array_equal(frame, robustness._frame_in_segment(sched, j, t))
+        ref = reference_frame(sched, j, t)
+        if system == "two" or phi == 0.0:
+            assert np.array_equal(frame, ref)
+        else:
+            # the Lambda kernel rotates (dark, bright, e) by one matrix product,
+            # which may round a complex bright entry's products differently
+            np.testing.assert_allclose(frame, ref, rtol=0.0, atol=1e-15)
 
 
 def test_text_round_trip_is_exact():

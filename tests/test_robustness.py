@@ -46,6 +46,7 @@ from oracles import (
     gauss_legendre_error_integrals,
     hamiltonian,
     mat_exp_hermitian,
+    reference_frame,
     sampled_dynamical_integrals,
     trapezoid_error_integrals,
 )
@@ -123,6 +124,25 @@ def test_frame_loop_closure(not_schedules):
         swap = np.zeros_like(overlap)
         swap[cols[0], cols[1]] = swap[cols[1], cols[0]] = 1.0
         np.testing.assert_allclose(overlap, swap, atol=1e-9, err_msg=fam)
+
+
+def test_auxiliary_basis_matches_one_point_frames():
+    # one kernel call per segment gives the bits of one call per time; a
+    # segment's last sample is its own end, where auxiliary_frame would take
+    # the next segment at an interior boundary. The reachable gates have
+    # phi = 0, where the frames also match the column-by-column reference.
+    per_segment = 9
+    for family, gate in FEASIBLE_PAIRS:
+        sched = family_build(family, NAMED_GATES[gate])
+        if not sched.segments:
+            continue
+        basis = auxiliary_basis(sched, per_segment)
+        last = len(basis.times) - 1
+        for k, (t, frame) in enumerate(zip(basis.times.tolist(), basis.frames)):
+            j = k // per_segment
+            assert np.array_equal(frame, reference_frame(sched, j, t)), (family, gate, k)
+            if k % per_segment != per_segment - 1 or k == last:
+                assert np.array_equal(frame, auxiliary_frame(sched, t)), (family, gate, k)
 
 
 def test_dynamical_integrals_vanish(not_schedules):
@@ -389,6 +409,23 @@ def test_d_matrix_rejects_overflowing_integral():
     np.testing.assert_allclose(big / 1e150, unit, rtol=1e-12)
 
 
+def test_custom_v_convergence_does_not_depend_on_scale():
+    # the deviation and the integral are compared after dividing both by the
+    # integral's largest entry: past about 1e154 the plain Frobenius norm of
+    # the integral overflows to inf, and an unresolved V used to pass
+    sched = family_build("dg", NOT)
+
+    def scaled(scale, omega):
+        return ErrorModel.custom(0.0, v=lambda t: scale * math.cos(omega * t) * SZ)
+
+    cap = robustness.CC_MAX_NODES
+    for scale in (1.0, 1e160, 1e200):
+        with pytest.raises(InvariantError, match=rf"segment 0: .* with {cap + 1} nodes"):
+            d_matrix(sched, scaled(scale, 4000.0))
+    big = d_matrix(sched, scaled(1e150, 0.3))
+    np.testing.assert_allclose(big / 1e150, d_matrix(sched, scaled(1.0, 0.3)), rtol=1e-12)
+
+
 def test_magnus_terms_constant_drive():
     # DG: U(t) commutes with H, so D = H * tau and G = (H * tau)^2
     sched = family_build("dg", NOT)
@@ -423,6 +460,37 @@ def test_fidelity_prediction_tracks_exact(not_schedules):
             pred = fidelity_prediction(d_op, beta)
             exact = propagator_fidelity(sched, beta)
             assert abs(pred - exact) <= 5.0 * beta**4 * math.pi**4, (fam, beta)
+
+
+@pytest.mark.parametrize("family, power, coefficient", [
+    ("dg", 2, math.pi**2 / 8.0),
+    ("ngqc", 2, math.pi**2 / 8.0),
+    ("nhqc", 2, math.pi**2 / 3.0),
+    ("sr-ngqc", 4, 3.0 * math.pi**4 / 128.0),
+    ("sr-nhqc", 4, math.pi**4 / 12.0),
+])
+def test_fidelity_law_coefficients(family, power, coefficient):
+    # 1 - F = coefficient * beta^power + O(beta^(power + 2)); at beta = 0.005
+    # the next term is below 1e-4 of the first
+    beta = 0.005
+    infidelity = 1.0 - propagator_fidelity(family_build(family, NOT), beta)
+    assert infidelity / beta**power == pytest.approx(coefficient, rel=1e-3)
+
+
+def test_closed_gate_metrics_match_one_beta_calls():
+    # one stack of propagators per call gives the bits of the one-beta
+    # propagations, fidelity and leakage alike
+    betas = np.concatenate([np.linspace(-0.1, 0.1, 41), np.linspace(-0.3, 0.05, 7)])
+    for family, gate in FEASIBLE_PAIRS:
+        sched = family_build(family, NAMED_GATES[gate])
+        u0 = schedule_propagator(sched)
+        points = robustness._closed_gate_metrics(sched, betas)
+        assert len(points) == len(betas)
+        for beta, point in zip(betas.tolist(), points):
+            u = schedule_propagator(sched, beta)
+            leak = 0.0 if sched.dim == 2 else float(0.5 * (abs(u[2, 0]) ** 2 + abs(u[2, 1]) ** 2))
+            assert point == (gate_fidelity(u, u0), leak), (family, gate, beta)
+            assert point == (propagator_fidelity(sched, beta), leakage(sched, beta))
 
 
 def test_propagator_fidelity_dg_closed_form():
