@@ -170,24 +170,26 @@ class ErrorModel:
         return cls(kind="custom", beta=beta, v=v)
 
 
-def _segment_frame(schedule: PulseSchedule, half: float | np.ndarray, phase: float) -> np.ndarray:
+def _segment_frame(schedule: PulseSchedule, half: float | np.ndarray,
+                   phase: float | np.ndarray) -> np.ndarray:
     """The co-moving frame F at frame angle 2 * half on a segment of phase
     `phase`, as a column matrix (conventions in the robustness module): the
     rotation by that angle about the segment's equatorial axis, which on
     Lambda turns the bright/excited pair of F(0) = (dark, bright, e). A
-    segment of area A propagates by F(A) F(0)^dag. An array half of shape S
-    gives an S + (d, d) stack whose members have the bits of the scalar calls.
+    segment of area A propagates by F(A) F(0)^dag. Array half and phase
+    broadcast to a shape S and give an S + (d, d) stack whose members have
+    the bits of the scalar calls, so one call serves several segments.
     Callers halve the angle themselves: halving is not exact for subnormals."""
     c, s = np.cos(half), np.sin(half)
     ph = np.exp(1j * phase)
     a, b = -1j * s * ph, -1j * s / ph
     if schedule.system == TWO_LEVEL:
-        frame = np.empty(c.shape + (2, 2), dtype=complex)
+        frame = np.empty(a.shape + (2, 2), dtype=complex)
         frame[..., 0, 0] = frame[..., 1, 1] = c
         frame[..., 0, 1] = a
         frame[..., 1, 0] = b
         return frame
-    block = np.zeros(c.shape + (3, 3), dtype=complex)
+    block = np.zeros(a.shape + (3, 3), dtype=complex)
     block[..., 0, 0] = 1.0
     block[..., 1, 1] = block[..., 2, 2] = c
     block[..., 1, 2] = b

@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,34 +154,10 @@ def _v_samples(v, times: np.ndarray, dim: int) -> np.ndarray:
         raise ValueError(
             f"custom V(t) must return a ({dim}, {dim}) matrix, got shape {v_t.shape[1:]}"
         )
-    finite = np.isfinite(v_t).all(axis=(1, 2))
-    if not finite.all():
-        bad_t = float(times[np.argmin(finite)])
+    if not np.isfinite(v_t).all():
+        bad_t = float(times[np.argmin(np.isfinite(v_t).all(axis=(1, 2)))])
         raise ValueError(f"custom V(t) is not finite at t={bad_t!r}")
     return v_t
-
-
-def _segment_sampler(schedule: PulseSchedule, seg, t0: float, u: np.ndarray, v):
-    """The interaction-picture V_H = U^dag V U of one segment, and U at its end.
-
-    The returned sampler maps Chebyshev points x in [-1, 1] to the times
-    t = t0 + (tau / 2)(1 - x), so x = 1 is the segment start, and returns
-    V_H there, calling V(t) once per point. U is the frame kernel: a time s
-    into the segment, U(s) = F(amp s) F(0)^dag u, with u the propagator at
-    the segment start.
-    """
-    dim = schedule.dim
-    start = _segment_frame(schedule, 0.0, seg.phase).conj().T @ u
-
-    def sample(x: np.ndarray) -> np.ndarray:
-        s = (0.5 * seg.duration) * (1.0 - x)
-        v_t = _v_samples(v, t0 + s, dim)
-        frames = _segment_frame(schedule, (0.5 * seg.amplitude) * s, seg.phase)
-        # every row of every frame times start: one (len(x) * dim, dim) product
-        traj = (frames.reshape(-1, dim) @ start).reshape(frames.shape)
-        return np.conj(traj).transpose(0, 2, 1) @ (v_t @ traj)
-
-    return sample, _segment_frame(schedule, 0.5 * seg.area, seg.phase) @ start
 
 
 def _lobatto(n: int) -> np.ndarray:
@@ -188,68 +165,155 @@ def _lobatto(n: int) -> np.ndarray:
     return np.cos(np.pi * np.arange(n + 1) / n)
 
 
+def _dct1(values: np.ndarray) -> np.ndarray:
+    """The DCT-I along axis 0, y_j = v_0 + (-1)^j v_n + 2 sum_{0<k<n} v_k cos(pi j k / n),
+    as one FFT of the even extension."""
+    n = len(values) - 1
+    return np.fft.fft(np.concatenate([values, values[-2:0:-1]]), axis=0)[: n + 1]
+
+
 def _chebyshev_coefficients(samples: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients a_0..a_n of the interpolant through samples[j] at
-    x_j = cos(pi j / n): the DCT-I, as one FFT of the even extension."""
+    x_j = cos(pi j / n)."""
     n = len(samples) - 1
-    coef = np.fft.fft(np.concatenate([samples, samples[-2:0:-1]]), axis=0)[: n + 1] / n
+    coef = _dct1(samples) / n
     coef[0] /= 2.0
     coef[n] /= 2.0
     return coef
 
 
-def _cc_integral(tau: float, coef: np.ndarray) -> np.ndarray:
-    """Clenshaw-Curtis integral over a segment of length tau,
-    (tau / 2) sum_{k even} a_k 2 / (1 - k^2)."""
-    k = np.arange(0, len(coef), 2)
-    return (0.5 * tau) * np.einsum("k,k...->...", 2.0 / (1.0 - k**2), coef[::2])
+@lru_cache(maxsize=16)
+def _cc_weights(n: int) -> np.ndarray:
+    """Clenshaw-Curtis weights of the n + 1 Chebyshev-Lobatto points: sum_j w_j f(x_j)
+    is the integral over [-1, 1] of f's interpolant. They are one DCT-I of the
+    moments 2 / (1 - k^2) of the even T_k, end weights halved (Waldvogel,
+    BIT 46, 195 (2006)); read-only."""
+    moments = np.zeros(n + 1)
+    moments[::2] = 2.0 / (1.0 - np.arange(0, n + 1, 2) ** 2)
+    weights = _dct1(moments).real / n
+    weights[0] /= 2.0
+    weights[n] /= 2.0
+    weights.flags.writeable = False
+    return weights
 
 
-def _custom_segments(schedule: PulseSchedule, v):
-    """V_H = U^dag V U of a custom V(t) on each segment's converged nodes.
+def _cc_integral(tau, samples: np.ndarray) -> np.ndarray:
+    """Clenshaw-Curtis integral over segments of length tau of (d, d) samples at
+    the Lobatto points (axis -3); an array tau matches the leading axes."""
+    *lead, nodes, rows, cols = samples.shape
+    total = np.matmul(_cc_weights(nodes - 1), samples.reshape(*lead, nodes, rows * cols))
+    return (0.5 * np.asarray(tau))[..., None, None] * total.reshape(*lead, rows, cols)
 
-    Yields (tau, x, v_h, coef) per segment: the Chebyshev-Lobatto points x,
-    V_H at them and its Chebyshev coefficients. Each segment starts with
-    CC_FIRST_NODES + 1 nodes and doubles n; the points at 2n contain those at
-    n, so V(t) is called only at the new ones. A segment's first node is the
-    previous segment's last, so V(t) is called once per distinct time. The
-    segment has converged once its Clenshaw-Curtis integral moves by at most
-    CC_TOL of its norm (at least 1) under a doubling; past CC_MAX_NODES
-    InvariantError is raised. Every V(t) sample is checked for shape and
-    finiteness before use.
+
+def _node_integrals(tau: float, samples: np.ndarray) -> np.ndarray:
+    """The integral of (d, d) samples at the Lobatto points from the segment
+    start to each point.
+
+    Their Chebyshev series a_k integrates term by term to
+    b_k = (c_{k-1} a_{k-1} - a_{k+1}) / 2k (c_0 = 2, else 1), k = 1..n+1.
+    At the points T_{n+1} = T_{n-1}, so b_{n+1} folds onto b_{n-1} and one
+    DCT-I sums the series there; the value at x = 1 is subtracted. t
+    decreases as x runs from 1 to -1, so dt = -(tau / 2) dx.
     """
-    bounds = schedule.boundaries()
-    u = np.eye(schedule.dim, dtype=complex)
-    edge = None
-    for j, seg in enumerate(schedule.segments):
-        sample, u_end = _segment_sampler(schedule, seg, float(bounds[j]), u, v)
-        n = CC_FIRST_NODES
-        x = _lobatto(n)
-        v_h = sample(x) if edge is None else np.concatenate([edge[None], sample(x[1:])])
-        coef = _chebyshev_coefficients(v_h)
-        integral = _cc_integral(seg.duration, coef)
-        dev = math.inf
-        while not dev <= CC_TOL:
-            if n == CC_MAX_NODES:
-                raise InvariantError(
-                    f"custom V(t) quadrature not converged on segment {j}: "
-                    f"|I_{n} - I_{n // 2}| / max(1, |I_{n}|) = {dev:.3e} with {n + 1} nodes"
-                )
-            n *= 2
-            x = _lobatto(n)
-            fine = np.empty((n + 1, *v_h.shape[1:]), dtype=complex)
-            fine[::2] = v_h
-            fine[1::2] = sample(x[1::2])
-            v_h = fine
-            coef = _chebyshev_coefficients(v_h)
-            coarse, integral = integral, _cc_integral(seg.duration, coef)
-            # Frobenius norms (the same in the lab and frame bases) of the
-            # integrals divided by their largest entry, so they cannot overflow
-            scale = max(1.0, float(np.abs(integral).max()))
-            dev = float(np.linalg.norm((integral - coarse) / scale)) / max(
-                1.0 / scale, float(np.linalg.norm(integral / scale)))
-        yield seg.duration, x, v_h, coef
-        u, edge = u_end, v_h[-1]
+    coef = _chebyshev_coefficients(samples)
+    n = len(coef) - 1
+    lower = coef.copy()
+    lower[0] *= 2.0
+    upper = np.zeros_like(coef)
+    upper[: n - 1] = coef[2:]
+    b = (lower - upper) / (2.0 * np.arange(1, n + 2))[:, None, None]
+    series = np.zeros_like(coef)
+    series[1:] = b[:n]
+    series[n - 1] += b[n]
+    series[1:n] *= 0.5  # the DCT-I doubles the interior terms
+    values = _dct1(series)
+    return (-0.5 * tau) * (values - values[0])
+
+
+def _custom_segments(schedule: PulseSchedule, v) -> list[tuple]:
+    """A custom V(t) in each segment's frame basis, on the segment's
+    converged nodes.
+
+    On segment j, U(t0 + s) = F_j(amp s) s_j, with F_j the frame kernel and
+    s_j = F_j(0)^dag U(t0) the segment's start propagator from the closed
+    form, so V_H = U^dag V U = s_j^dag v_f s_j with v_f = F_j^dag V F_j.
+    Returns (tau, s_j, v_f, integral) per segment: v_f at the
+    Chebyshev-Lobatto points x, from 1 down to -1 (the times
+    t0 + (tau / 2)(1 - x)), and the Clenshaw-Curtis integral of V_H.
+
+    All segments start with CC_FIRST_NODES + 1 points and double n
+    together, so each level is one stack over every unconverged segment:
+    one V(t) call per new point, one frame kernel call and one frame-basis
+    product. The points at 2n contain those at n, and a segment's first
+    point is the previous segment's last, so V(t) is called once per
+    distinct time. A segment has converged once its integral of v_f moves
+    by at most CC_TOL of its norm (at least 1) under a doubling. Both
+    Frobenius norms are those of V_H, since s_j is unitary, and are taken
+    after dividing by the integral's largest entry, so they cannot
+    overflow; only a converged integral is turned into the lab basis. A
+    segment unconverged at CC_MAX_NODES raises InvariantError, naming the
+    lowest such index. Every V(t) sample is checked for shape and finiteness
+    before use.
+    """
+    segs = schedule.segments
+    if not segs:
+        return []
+    dim = schedule.dim
+    tau = np.array([seg.duration for seg in segs])
+    half_rate = 0.5 * np.array([seg.amplitude for seg in segs])[:, None]
+    phase = np.array([seg.phase for seg in segs])[:, None]
+    t0 = schedule.boundaries()[:-1, None]
+    areas = np.array([seg.area for seg in segs])
+    # every segment's frame at its start (angle 0) and at its end (its area)
+    edges = _segment_frame(schedule, (0.5 * areas)[:, None] * [0.0, 1.0], phase)
+    starts = np.empty((len(segs), dim, dim), dtype=complex)
+    u = np.eye(dim, dtype=complex)
+    for j, (first, last) in enumerate(edges):
+        starts[j] = first.conj().T @ u
+        u = last @ starts[j]
+
+    def frame_basis(half, phase, v_t):
+        """F^dag V F at frame angles 2 * half, one row per segment."""
+        frames = _segment_frame(schedule, half, phase)
+        return np.conj(frames).swapaxes(-1, -2) @ (v_t @ frames)
+
+    n = CC_FIRST_NODES
+    index = np.arange(len(segs))
+    s = (0.5 * tau)[:, None] * (1.0 - _lobatto(n))
+    # t = 0, then every segment's points after its first, which is the
+    # previous segment's last: segment j reads samples jn .. jn + n
+    fresh = _v_samples(v, np.append(0.0, t0 + s[:, 1:]), dim)
+    v_f = frame_basis(half_rate * s, phase, fresh[n * index[:, None] + np.arange(n + 1)])
+    integral = _cc_integral(tau, v_f)
+    out = [None] * len(segs)
+    while True:
+        if n == CC_MAX_NODES:
+            raise InvariantError(
+                f"custom V(t) quadrature not converged on segment {index[0]}: "
+                f"|I_{n} - I_{n // 2}| / max(1, |I_{n}|) = {dev[0]:.3e} with {n + 1} nodes"
+            )
+        n *= 2
+        s = (0.5 * tau)[:, None] * (1.0 - _lobatto(n)[1::2])
+        v_t = _v_samples(v, (t0 + s).ravel(), dim).reshape(len(index), -1, dim, dim)
+        fine = np.empty((len(index), n + 1, dim, dim), dtype=complex)
+        fine[:, ::2] = v_f
+        fine[:, 1::2] = frame_basis(half_rate * s, phase, v_t)
+        v_f = fine
+        coarse, integral = integral, _cc_integral(tau, v_f)
+        scale = np.maximum(1.0, np.abs(integral).max(axis=(1, 2)))
+        change, norm = np.linalg.norm(
+            np.stack([integral - coarse, integral]) / scale[:, None, None], axis=(2, 3))
+        dev = change / np.maximum(1.0 / scale, norm)
+        done = dev <= CC_TOL
+        if done.any():
+            start = starts[done]
+            totals = np.conj(start).swapaxes(-1, -2) @ integral[done] @ start
+            for j, *result in zip(index[done].tolist(), start, v_f[done], totals):
+                out[j] = (segs[j].duration, *result)
+            if done.all():
+                return out
+            index, tau, t0, half_rate, phase, starts, v_f, integral, dev = (
+                a[~done] for a in (index, tau, t0, half_rate, phase, starts, v_f, integral, dev))
 
 
 def d_matrix(schedule: PulseSchedule, error: ErrorModel | None = None) -> np.ndarray:
@@ -258,10 +322,11 @@ def d_matrix(schedule: PulseSchedule, error: ErrorModel | None = None) -> np.nda
     error selects V (its beta is irrelevant here); the default is the global
     Rabi error V = H, whose D is the exact segment sum of propagated drive
     operators. An ErrorModel.custom V(t) is integrated by a Clenshaw-Curtis
-    rule on each segment, with the node count doubled until the segment's
-    integral converges to 1e-12 of its norm (see _custom_segments). A segment
-    still unconverged at CC_MAX_NODES raises InvariantError, and a V(t)
-    sample that is not a finite (dim, dim) matrix raises ValueError.
+    rule on each segment, with the node count of every segment doubled
+    together until each segment's integral converges to 1e-12 of its norm
+    (see _custom_segments). A segment still unconverged at CC_MAX_NODES
+    raises InvariantError, and a V(t) sample that is not a finite (dim, dim)
+    matrix raises ValueError.
     """
     dim = schedule.dim
     if not schedule.segments:
@@ -269,8 +334,7 @@ def d_matrix(schedule: PulseSchedule, error: ErrorModel | None = None) -> np.nda
     if error is None or error.kind == "global_rabi":
         d_lab = _segment_sums(schedule)[0]
     else:
-        segments = _custom_segments(schedule, error.v)
-        d_lab = sum(_cc_integral(tau, coef) for tau, _, _, coef in segments)
+        d_lab = sum(total for *_, total in _custom_segments(schedule, error.v))
     frame0 = auxiliary_frame(schedule, 0.0)
     return frame0.conj().T @ d_lab @ frame0
 
@@ -357,24 +421,19 @@ def magnus_terms(
     The global Rabi error (the default) is summed exactly over segments. For
     ErrorModel.custom, D_op is d_matrix's Clenshaw-Curtis rule in the lab
     basis; D(t) at the same nodes is the integral of V_H's Chebyshev
-    interpolant, and the commutator is integrated by the same rule.
+    interpolant (see _node_integrals), and the commutator is integrated by
+    the same rule, on the same V(t) calls as d_matrix.
     """
     if error is None or error.kind == "global_rabi":
         return _segment_sums(schedule)
-    # imported here: numpy.polynomial adds about 5 ms to every process that
-    # imports the package, and only this path uses it
-    from numpy.polynomial.chebyshev import chebint, chebval
-
     dim = schedule.dim
     d_cum = np.zeros((dim, dim), dtype=complex)
     g_comm = np.zeros((dim, dim), dtype=complex)
-    for tau, x, v_h, coef in _custom_segments(schedule, error.v):
-        # t decreases as x runs from 1 to -1, so dt = -(tau / 2) dx
-        d_seg = chebval(x, chebint(coef, lbnd=1, scl=-0.5 * tau, axis=0))
-        d_t = d_cum + np.moveaxis(d_seg, -1, 0)
-        comm = v_h @ d_t - d_t @ v_h
-        g_comm += _cc_integral(tau, _chebyshev_coefficients(comm))
-        d_cum = d_cum + _cc_integral(tau, coef)
+    for tau, start, v_f, total in _custom_segments(schedule, error.v):
+        # V_H = start^dag v_f start: the commutator is taken in the frame basis
+        d_t = start @ d_cum @ start.conj().T + _node_integrals(tau, v_f)
+        g_comm += start.conj().T @ _cc_integral(tau, v_f @ d_t - d_t @ v_f) @ start
+        d_cum = d_cum + total
     return d_cum, g_comm + d_cum @ d_cum
 
 

@@ -10,7 +10,10 @@ quadrature, and an RK4 integration of the master equation. The package
 integrates a custom V(t) by a Clenshaw-Curtis rule on closed-form
 trajectories; its reference is Gauss-Legendre quadrature on a trajectory
 stepped from node to node by eigendecomposition exponentials, nested for the
-cumulative integral inside the Magnus commutator term. The Kronecker-product
+cumulative integral inside the Magnus commutator term. For a V that is
+constant on each segment, the Dyson terms are blocks of one block-triangular
+exponential per segment, taken by scipy (Van Loan, IEEE Trans. Autom.
+Control 23, 395 (1978)). The Kronecker-product
 Liouvillian gives tests a second, independently assembled generator for
 scipy's exponential. They share no code path with the exact segment sums and
 channels they check. The scalar segment propagator and co-moving frame are
@@ -27,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from georobust import (
     FAMILIES,
@@ -310,6 +314,30 @@ def gauss_legendre_error_integrals(schedule, v, nodes: int = 40):
     else:
         d_frame = d_cum
     return d_frame, d_cum, g_comm + d_cum @ d_cum
+
+
+def dyson_error_operators(schedule, v=None):
+    """(D_op, G_op) of magnus_terms from exact exponentials, for V = H
+    (v=None, the global Rabi error) or a static matrix v.
+
+    With A = -i H_j and B = -i V_j on segment j,
+    M_j = expm(tau_j [[A, B, 0], [0, A, B], [0, 0, A]]) carries U_j on its
+    diagonal and the first- and second-order Dyson integrals in blocks (1, 2)
+    and (1, 3). The product of the M_j keeps that form, and
+    U'(tau) = U (1 - i beta D_op - (beta^2 / 2) G_op) + O(beta^3) reads off
+    D_op = i U^dag M_12 and G_op = -2 U^dag M_13.
+    """
+    dim = schedule.dim
+    total = np.eye(3 * dim, dtype=complex)
+    for seg in schedule.segments:
+        ham = segment_hamiltonian(schedule, seg)
+        a = -1j * ham
+        b = -1j * (ham if v is None else np.asarray(v, dtype=complex))
+        zero = np.zeros_like(a)
+        gen = np.block([[a, b, zero], [zero, a, b], [zero, zero, a]])
+        total = scipy.linalg.expm(seg.duration * gen) @ total
+    u_dag = total[:dim, :dim].conj().T
+    return 1j * u_dag @ total[:dim, dim:2 * dim], -2.0 * u_dag @ total[:dim, 2 * dim:]
 
 
 def sampled_dynamical_integrals(schedule, samples_per_segment: int = 64) -> np.ndarray:

@@ -137,6 +137,14 @@ def test_criterion_06_src_residuals(schedules):
 
 
 def test_criterion_07_magnus_third_order(schedules):
+    """The second-order Magnus propagator misses the exact one by O(beta^3).
+
+    Only dg and ngqc are checked. magnus_gate_approx cannot carry the
+    super-robust law: for NOT at beta = 0.01 its (1 - F) / beta^4 reads 2e-8
+    on sr-ngqc and 0.0 on sr-nhqc, against 2.28 and 8.12 for the exact
+    propagator, because D_op vanishes there and the beta^4 infidelity comes
+    from terms past second order.
+    """
     details = []
     ok = True
     for fam in ("dg", "ngqc"):

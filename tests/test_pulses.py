@@ -22,7 +22,7 @@ from georobust import (
     segment_hamiltonian,
     segment_propagator,
 )
-from georobust import robustness
+from georobust import pulses, robustness
 from oracles import (
     TimeGrid,
     hamiltonian,
@@ -252,6 +252,23 @@ def test_stacked_frames_match_scalar_reference(system, segments, theta, phi, fra
             # the Lambda kernel rotates (dark, bright, e) by one matrix product,
             # which may round a complex bright entry's products differently
             np.testing.assert_allclose(frame, ref, rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(system=st.sampled_from(["two", "lambda"]), theta=KERNEL_ANGLE, phi=KERNEL_ANGLE,
+       phases=st.lists(KERNEL_ANGLE, min_size=1, max_size=4), width=st.integers(1, 6),
+       data=st.data())
+def test_frame_kernel_broadcasts_phase_bit_for_bit(system, theta, phi, phases, width, data):
+    # one segment per row: a column of phases against a row of half-angles
+    # gives every member the bits of its scalar call
+    sched = PulseSchedule(system, (), theta=theta, phi=phi)
+    halves = data.draw(st.lists(st.lists(KERNEL_ANGLE, min_size=width, max_size=width),
+                                min_size=len(phases), max_size=len(phases)))
+    stack = pulses._segment_frame(sched, np.array(halves), np.array(phases)[:, None])
+    assert stack.shape == (len(phases), width, sched.dim, sched.dim)
+    for row, members, phase in zip(halves, stack, phases):
+        for half, frame in zip(row, members):
+            assert np.array_equal(frame, pulses._segment_frame(sched, half, phase))
 
 
 def test_text_round_trip_is_exact():

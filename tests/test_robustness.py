@@ -43,6 +43,7 @@ from georobust import (
 from georobust import robustness
 from oracles import (
     FEASIBLE_PAIRS,
+    dyson_error_operators,
     gauss_legendre_error_integrals,
     hamiltonian,
     mat_exp_hermitian,
@@ -173,6 +174,27 @@ def test_exact_error_integrals_match_trapezoid_integration():
                                    err_msg=f"{fam} {gate}")
         np.testing.assert_allclose(exact_d, d_op, rtol=0, atol=1e-9, err_msg=f"{fam} {gate}")
         np.testing.assert_allclose(exact_g, g_op, rtol=0, atol=1e-9, err_msg=f"{fam} {gate}")
+
+
+@pytest.mark.parametrize("family,gate", FEASIBLE_PAIRS)
+def test_error_integrals_match_exact_dyson_terms(family, gate):
+    # the segment sums (V = H) and the Clenshaw-Curtis rule (a static custom
+    # V) against the Dyson blocks of one scipy exponential per segment. The
+    # static V has spectral norm 1/3, like each part of _random_hermitian_v:
+    # G_op grows as |V|^2, and at norm 1 it reaches 94 on sr-nhqc z90, where
+    # roundoff alone is 2e-13
+    sched = family_build(family, NAMED_GATES[gate])
+    frame0 = reference_frame(sched, 0, 0.0) if sched.segments else np.eye(sched.dim)
+    rng = np.random.default_rng(FEASIBLE_PAIRS.index((family, gate)))
+    m = rng.normal(size=(sched.dim, sched.dim)) + 1j * rng.normal(size=(sched.dim, sched.dim))
+    static = (m + m.conj().T) / (3.0 * np.linalg.norm(m + m.conj().T, 2))
+    for v, err in ((None, None), (static, ErrorModel.custom(0.0, v=lambda t: static))):
+        d_op, g_op = dyson_error_operators(sched, v)
+        got_d, got_g = magnus_terms(sched, err)
+        np.testing.assert_allclose(got_d, d_op, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got_g, g_op, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(d_matrix(sched, err), frame0.conj().T @ d_op @ frame0,
+                                   rtol=0, atol=1e-13)
 
 
 def test_empty_schedule_error_integrals_vanish():
@@ -345,10 +367,11 @@ def test_custom_error_on_unequal_segments():
 
 def _assert_lobatto_nodes(sched, calls):
     """Each segment's calls are the Chebyshev-Lobatto nodes of some n = 2^k,
-    and no time is sampled twice."""
+    and no time is sampled twice; returns each segment's n."""
     assert len(calls) == len(set(calls))
     calls = np.sort(calls)
     bounds = sched.boundaries()
+    counts = []
     for j, seg in enumerate(sched.segments):
         # the shared boundary node belongs to both segments
         mine = calls[(calls >= bounds[j]) & (calls <= bounds[j + 1])]
@@ -356,6 +379,8 @@ def _assert_lobatto_nodes(sched, calls):
         assert n >= 2 * robustness.CC_FIRST_NODES and n & (n - 1) == 0, (j, n)
         want = bounds[j] + 0.5 * seg.duration * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
         np.testing.assert_allclose(mine, want, rtol=0, atol=1e-14)
+        counts.append(n)
+    return counts
 
 
 def test_custom_v_is_called_once_per_grid_point():
@@ -375,6 +400,83 @@ def test_custom_v_is_called_once_per_grid_point():
     calls.clear()
     magnus_terms(sched, ErrorModel.custom(0.0, v))
     assert calls == first
+
+
+def test_node_integrals_match_chebint_on_a_full_degree_series():
+    # the running integral at the Lobatto points against numpy.polynomial's
+    # chebint/chebval of the interpolant, with a top coefficient as large as
+    # the rest: its integral's T_{n+1} term folds onto T_{n-1} at the points,
+    # which converged V(t) samples, whose top coefficients are tiny, cannot show
+    from numpy.polynomial.chebyshev import chebint, chebval
+
+    rng = np.random.default_rng(7)
+    for n, tau in ((8, 1.7), (16, 0.4)):
+        x = np.cos(np.pi * np.arange(n + 1) / n)
+        coef = rng.normal(size=(n + 1, 2, 2)) + 1j * rng.normal(size=(n + 1, 2, 2))
+        samples = np.moveaxis(chebval(x, coef), -1, 0)
+        want = np.moveaxis(chebval(x, chebint(coef, lbnd=1, scl=-0.5 * tau, axis=0)), -1, 0)
+        np.testing.assert_allclose(robustness._node_integrals(tau, samples), want,
+                                   rtol=0, atol=1e-12)
+
+
+def test_stacked_segments_leave_the_loop_at_their_own_node_counts():
+    # all segments double together; each leaves the stack once converged, at
+    # n = 16, 64 and 128 here, and keeps its own Lobatto set of V(t) calls
+    sched = PulseSchedule(
+        "two", (PulseSegment(0.3, 1.0, 0.2), PulseSegment(math.pi, 1.0, 1.1),
+                PulseSegment(3 * math.pi, 1.0, 0.4))
+    )
+    calls = []
+
+    def v(t):
+        calls.append(t)
+        return math.cos(3.0 * t) * SZ
+
+    d_matrix(sched, ErrorModel.custom(0.0, v))
+    assert _assert_lobatto_nodes(sched, calls) == [16, 64, 128]
+    _assert_matches_stepped(sched, lambda t: math.cos(3.0 * t) * SZ)
+
+
+@pytest.mark.parametrize("fast,named", [((1,), 1), ((2,), 2), ((1, 2), 1)])
+def test_unconverged_error_names_the_lowest_unresolved_segment(fast, named):
+    # cos(4000 t) under a sin^2 window inside the fast segments only: every
+    # segment sees a V that is smooth on it, and only the fast ones need more
+    # than the node cap
+    sched = PulseSchedule(
+        "two", tuple(PulseSegment(math.pi, 1.0, ph) for ph in (0.2, 1.1, 0.4))
+    )
+    bounds = sched.boundaries()
+
+    def v(t):
+        scale = math.cos(0.3 * t)
+        for j in fast:
+            if bounds[j] < t < bounds[j + 1]:
+                window = math.sin(math.pi * (t - bounds[j]) / sched.segments[j].duration)
+                scale += math.cos(4000.0 * t) * window**2
+        return scale * SZ
+
+    cap = robustness.CC_MAX_NODES
+    for call in (d_matrix, magnus_terms):
+        with pytest.raises(InvariantError, match=rf"segment {named}: .* with {cap + 1} nodes"):
+            call(sched, ErrorModel.custom(0.0, v))
+
+
+def test_non_finite_v_on_the_last_segment_names_a_time_there():
+    sched = PulseSchedule(
+        "lambda", tuple(PulseSegment(d, 1.0, ph) for d, ph in ((1.0, 0.2), (2.0, 1.1), (1.5, 0.4))),
+        theta=0.8,
+    )
+    bounds = sched.boundaries()
+    ok = np.diag([1.0, 0.5, -1.0]).astype(complex)
+
+    def v(t):
+        return np.full((3, 3), np.nan) if t > bounds[2] else math.cos(t) * ok
+
+    for call in (d_matrix, magnus_terms):
+        with pytest.raises(ValueError, match=r"not finite at t=") as info:
+            call(sched, ErrorModel.custom(0.0, v))
+        bad_t = float(str(info.value).rpartition("t=")[2])
+        assert bounds[2] < bad_t <= bounds[3]
 
 
 @pytest.mark.parametrize(
