@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, InvariantError, SerializationError, SolverError
-from .gates import FAMILIES, NAMED_GATES, assemble_schedule, solve_phase_jumps
+from .gates import FAMILIES, NAMED_GATES, _certificate
 from .pulses import schedule_to_text
 from .sweep import (
     SweepConfig,
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_build(args) -> int:
     spec = NAMED_GATES[args.gate]
-    sol = solve_phase_jumps(args.family, spec)
+    schedule, sol = _certificate(args.family, spec)
     print(
         f"family={sol.family} gate={args.gate} converged={sol.converged}\n"
         f"phases={[round(p, 12) for p in sol.phases]}\n"
@@ -165,7 +165,6 @@ def cmd_build(args) -> int:
             f"{args.family} phase law failed its certificate for gate {args.gate!r}: "
             f"residual_gate={sol.residual_gate:.3e}, residual_src={sol.residual_src:.3e}"
         )
-    schedule = assemble_schedule(args.family, spec, sol.phases)
     text = schedule_to_text(schedule)
     if args.out:
         write_text(args.out, text)

@@ -211,14 +211,10 @@ def _phase_law(family: str, spec: GateSpec) -> tuple[float, ...]:
     return tuple(_wrap(p) for p in phases)
 
 
-def solve_phase_jumps(family: str, spec: GateSpec) -> PhaseJumpSolution:
-    """The family's phase law for spec, certified by one propagation.
-
-    residual_gate stacks the phase-aligned distance of the computational
-    block to the target and, for Lambda systems, the leakage elements;
-    residual_src is |closed-form SRC sum|. converged requires residual_gate
-    (and, for the sr-* families, residual_src) within CERTIFICATE_TOL.
-    """
+def _certificate(family: str, spec: GateSpec) -> tuple[PulseSchedule, PhaseJumpSolution]:
+    """The family's schedule for spec and the solution certifying it: one
+    assembly, one propagation and one src_residual call (see
+    solve_phase_jumps). A failed certificate is reported, not raised."""
     _check_family(family)
     phases = _phase_law(family, spec)
     sched = assemble_schedule(family, spec, phases)
@@ -233,10 +229,33 @@ def solve_phase_jumps(family: str, spec: GateSpec) -> PhaseJumpSolution:
     gate_res = float(np.linalg.norm(np.concatenate(parts)))
     src_res = abs(src_residual(sched))
     src_ok = src_res <= CERTIFICATE_TOL or family not in SR_FAMILIES
-    return PhaseJumpSolution(
+    return sched, PhaseJumpSolution(
         family=family, phases=phases, residual_gate=gate_res, residual_src=src_res,
         converged=gate_res <= CERTIFICATE_TOL and src_ok,
     )
+
+
+def _certified(family: str, spec: GateSpec) -> tuple[PulseSchedule, PhaseJumpSolution]:
+    """_certificate, with SolverError if the certificate fails."""
+    sched, sol = _certificate(family, spec)
+    if not sol.converged:
+        raise SolverError(
+            f"{family} phase law failed its certificate for axis=(theta={spec.theta!r}, "
+            f"phi={spec.phi!r}), gamma={spec.gamma!r}: residual_gate="
+            f"{sol.residual_gate:.3e}, residual_src={sol.residual_src:.3e}"
+        )
+    return sched, sol
+
+
+def solve_phase_jumps(family: str, spec: GateSpec) -> PhaseJumpSolution:
+    """The family's phase law for spec, certified by one propagation.
+
+    residual_gate stacks the phase-aligned distance of the computational
+    block to the target and, for Lambda systems, the leakage elements;
+    residual_src is |closed-form SRC sum|. converged requires residual_gate
+    (and, for the sr-* families, residual_src) within CERTIFICATE_TOL.
+    """
+    return _certificate(family, spec)[1]
 
 
 def family_build(family: str, spec: GateSpec) -> PulseSchedule:
@@ -244,11 +263,4 @@ def family_build(family: str, spec: GateSpec) -> PulseSchedule:
 
     The dg identity is an empty schedule.
     """
-    sol = solve_phase_jumps(family, spec)
-    if not sol.converged:
-        raise SolverError(
-            f"{family} phase law failed its certificate for axis=(theta={spec.theta!r}, "
-            f"phi={spec.phi!r}), gamma={spec.gamma!r}: residual_gate="
-            f"{sol.residual_gate:.3e}, residual_src={sol.residual_src:.3e}"
-        )
-    return assemble_schedule(family, spec, sol.phases)
+    return _certified(family, spec)[0]

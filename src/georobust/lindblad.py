@@ -9,11 +9,13 @@ applying lindblad_rhs to the matrix units. A density matrix flattened
 row-major (Havel, J. Math. Phys. 44, 534 (2003)) is a row vector v, mapped to
 v @ exp(duration * G).
 
-The propagation is batched over the error beta: one segment's generators for
-all requested betas form one stack, exponentiated together, and the states of
-every beta are checked with one check_density call per segment. Each member
-of a stack keeps its own scaling, so a batched result has the same bits as the
-one-beta case; propagate_density and open_gate_metrics are that case.
+A propagation is one stack: the generators of every segment at every
+requested error beta are built by one lindblad_rhs call, so the dissipator is
+built once, and exponentiated by one _expm call. The segments are then applied
+in order, and the input and every segment's states over all betas are checked
+with one check_density call. Each member of the stack keeps its own scaling,
+so a batched result has the same bits as the one-beta case; propagate_density
+and open_gate_metrics are that case.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .pulses import LAMBDA, TWO_LEVEL, PulseSchedule, schedule_propagator, segment_hamiltonian
+from .pulses import LAMBDA, TWO_LEVEL, PulseSchedule, bright_dark, schedule_propagator
 
 DENSITY_HERMITIAN_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-9
@@ -158,28 +160,60 @@ def _expm(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_channel(schedule: PulseSchedule, seg, channels, betas) -> np.ndarray:
-    """The exact channels of one segment, one per beta, as a (len(betas), d^2, d^2)
-    stack acting on row-major vec(rho) rows."""
+def _segment_channels(schedule: PulseSchedule, channels, betas) -> np.ndarray:
+    """The exact channel of every segment at every beta, as one
+    (segments, len(betas), d^2, d^2) stack acting on row-major vec(rho) rows.
+
+    The Hamiltonians of all segments and betas come from one broadcast
+    expression, each member bit-equal to segment_hamiltonian; one lindblad_rhs
+    call on the matrix units builds the generators, so the dissipator is built
+    once; and one _expm call exponentiates them all.
+    """
     d = schedule.dim
     n = d * d
+    segs = schedule.segments
+    scale = 1.0 + np.asarray(betas, dtype=float)
+    amp = np.array([seg.amplitude for seg in segs])[:, None]
+    phase = np.array([seg.phase for seg in segs])[:, None]
+    if schedule.system == TWO_LEVEL:
+        off = 0.5 * scale * amp * np.exp(1j * phase)
+        hams = np.zeros(off.shape + (2, 2), dtype=complex)
+        hams[..., 0, 1] = off
+        hams[..., 1, 0] = np.conj(off)
+    else:
+        bright, _ = bright_dark(schedule.theta, schedule.phi)
+        exc = np.array([0.0, 0.0, 1.0], dtype=complex)
+        coef = 0.5 * scale * amp * np.exp(-1j * phase)
+        hams = coef[..., None, None] * np.outer(bright, exc.conj())
+        hams = hams + hams.conj().swapaxes(-1, -2)
     units = np.eye(n, dtype=complex).reshape(n, d, d)
-    hams = np.array([segment_hamiltonian(schedule, seg, scale=1.0 + b) for b in betas])
-    gen = lindblad_rhs(units, hams[:, None], channels).reshape(len(hams), n, n)
-    return _expm(seg.duration * gen)
+    gen = lindblad_rhs(units, hams[:, :, None], channels).reshape(len(segs), len(scale), n, n)
+    durations = np.array([seg.duration for seg in segs])
+    return _expm(durations[:, None, None, None] * gen)
 
 
 def _propagate(schedule: PulseSchedule, rho: np.ndarray, channels, betas) -> np.ndarray:
     """rho, one (d, d) matrix or a (k, d, d) stack, after the schedule at each
-    beta, as a (len(betas), k, d, d) stack (k = 1 for a matrix). rho is checked
-    first, then every segment's states over all betas with one check_density
-    call."""
-    check_density(rho, name="initial density matrix")
+    beta, as a (len(betas), k, d, d) stack (k = 1 for a matrix).
+
+    The segments are applied in order, then rho and every segment's states
+    over all betas are checked with one check_density call. If it fails, the
+    input and each segment's states are checked in turn, so the error names
+    the earliest failing stage and its state.
+    """
     d = schedule.dim
     flat = rho.reshape(1, -1, d * d).repeat(len(betas), axis=0)
-    for seg in schedule.segments:
-        flat = flat @ _segment_channel(schedule, seg, channels, betas)
-        check_density(flat.reshape(-1, d, d), name="density matrix after segment")
+    stages = [rho.reshape(-1, d, d)]
+    for chan in _segment_channels(schedule, channels, betas):
+        flat = flat @ chan
+        stages.append(flat.reshape(-1, d, d))
+    try:
+        check_density(np.concatenate(stages))
+    except InvariantError:
+        check_density(rho, name="initial density matrix")
+        for j, states in enumerate(stages[1:]):
+            check_density(states, name=f"density matrix after segment {j}")
+        raise
     return flat.reshape(len(betas), -1, d, d)
 
 

@@ -9,11 +9,11 @@ join the gamma = 0 column; the gamma = 0 column is defined to match the plain
 beta sweep exactly.
 
 Sweeps run serially in one process. Each family's schedule and SRC residual
-are computed once, and each column of a family is propagated in blocks of
-BETA_BLOCK betas, which bounds the memory a long beta grid needs: the gamma =
-0 column as one stack of closed-form propagators, a gamma > 0 column as one
-stack of channels per segment. A batched point has the same bits as a lone
-one.
+come from one certificate, and each column of a family is propagated in
+blocks of BETA_BLOCK betas, which bounds the memory a long beta grid needs:
+the gamma = 0 column as one stack of closed-form propagators, a gamma > 0
+column as one stack of the channels of every segment at every beta of the
+block. A batched point has the same bits as a lone one.
 
 CSV rows are sorted by (family, beta, gamma) and floats are written with
 repr(), so rerunning a sweep reproduces the file byte for byte.
@@ -28,14 +28,13 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .gates import FAMILIES, NAMED_GATES, GateSpec, family_build
+from .gates import FAMILIES, NAMED_GATES, GateSpec, _certified, family_build
 from .lindblad import _open_gate_metrics, standard_channels
 from .robustness import (
     _closed_gate_metrics,
     d_matrix,
     order_fit,
     quadratic_coefficient,
-    src_residual,
 )
 
 CSV_HEADER = "family,beta,gamma,fidelity,infidelity,leakage,src_residual"
@@ -123,11 +122,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     betas = [float(b) for b in beta_grid(config)]
     gammas = sorted(config.gammas)
     spec = NAMED_GATES[config.gate]
-    schedules = {family: family_build(family, spec) for family in config.families}
+    certified = {family: _certified(family, spec) for family in config.families}
     rows = []
     for family in sorted(config.families):
-        schedule = schedules[family]
-        src = abs(src_residual(schedule))
+        schedule, sol = certified[family]
+        src = sol.residual_src
         columns = []
         for gamma in gammas:
             if gamma == 0.0:
@@ -192,26 +191,13 @@ def delta_rows(rows: list[SweepRow]) -> list[tuple[str, float, float, float]]:
     return out
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def rows_to_csv(rows: list[SweepRow]) -> str:
     ordered = sorted(rows, key=lambda r: (r.family, r.beta, r.gamma))
     lines = [CSV_HEADER]
     for r in ordered:
         lines.append(
-            ",".join(
-                [
-                    r.family,
-                    _fmt(r.beta),
-                    _fmt(r.gamma),
-                    _fmt(r.fidelity),
-                    _fmt(r.infidelity),
-                    _fmt(r.leakage),
-                    _fmt(r.src_residual),
-                ]
-            )
+            f"{r.family},{float(r.beta)!r},{float(r.gamma)!r},{float(r.fidelity)!r},"
+            f"{float(r.infidelity)!r},{float(r.leakage)!r},{float(r.src_residual)!r}"
         )
     return "\n".join(lines) + "\n"
 
@@ -219,7 +205,7 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 def deltas_to_csv(drows: list[tuple[str, float, float, float]]) -> str:
     lines = [DELTA_HEADER]
     for pair, beta, gamma, delta in drows:
-        lines.append(",".join([pair, _fmt(beta), _fmt(gamma), _fmt(delta)]))
+        lines.append(f"{pair},{float(beta)!r},{float(gamma)!r},{float(delta)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -284,8 +270,8 @@ def check_src_report(families=FAMILIES, gate: str = "not") -> tuple[str, bool]:
     lines = [f"{'family':<9} {'closed form':<14} {'numeric':<14} {'difference':<12} status"]
     all_ok = True
     for family in families:
-        schedule = family_build(family, spec)
-        closed = abs(src_residual(schedule))
+        schedule, sol = _certified(family, spec)
+        closed = sol.residual_src
         d_op = d_matrix(schedule)
         idx = (0, 1) if schedule.system == "two" else (1, 2)
         numeric = abs(complex(d_op[idx]))

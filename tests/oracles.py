@@ -13,13 +13,16 @@ stepped from node to node by eigendecomposition exponentials, nested for the
 cumulative integral inside the Magnus commutator term. For a V that is
 constant on each segment, the Dyson terms are blocks of one block-triangular
 exponential per segment, taken by scipy (Van Loan, IEEE Trans. Autom.
-Control 23, 395 (1978)). The Kronecker-product
-Liouvillian gives tests a second, independently assembled generator for
-scipy's exponential. They share no code path with the exact segment sums and
-channels they check. The scalar segment propagator and co-moving frame are
-also written out here, one matrix at a time with Python floats, as bit
-references for the package's broadcasting rotation kernel. The Hermitian and unitarity checks the integrator
-applies live here too, since only the references use them, and so does the
+Control 23, 395 (1978)). The Kronecker-product Liouvillian gives tests a
+second, independently assembled generator for scipy's exponential. These
+references share no code path with the exact segment sums and channels they
+check. The scalar segment propagator and co-moving frame are also written out
+here, one matrix at a time with Python floats, as bit references for the
+package's broadcasting rotation kernel; so is the per-segment channel
+construction (per-beta segment_hamiltonian, one lindblad_rhs and one _expm
+call per segment), as the bit reference for the stack of every segment's
+channels. The Hermitian and unitarity checks the integrator applies live here
+too, since only the references use them, and so does the
 list of reachable (family, gate) pairs.
 """
 
@@ -45,6 +48,7 @@ from georobust import (
     segment_hamiltonian,
     segment_propagator,
 )
+from georobust.lindblad import _expm
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-9
@@ -373,6 +377,23 @@ def rk4_propagate_density(schedule, rho0, channels=(), beta: float = 0.0,
         for mat in stack.reshape(-1, schedule.dim, schedule.dim):
             check_density(mat, name="density matrix after segment")
     return stack
+
+
+def segment_channels(schedule, channels, betas) -> np.ndarray:
+    """Every segment's exact channels, one per beta, built segment by segment
+    as a (segments, len(betas), d^2, d^2) stack: per-beta segment_hamiltonian
+    calls, then one lindblad_rhs and one _expm call per segment. This is the
+    package's construction before it stacked all segments; the stacked one
+    must keep its bits."""
+    d = schedule.dim
+    n = d * d
+    units = np.eye(n, dtype=complex).reshape(n, d, d)
+    out = np.empty((len(schedule.segments), len(betas), n, n), dtype=complex)
+    for j, seg in enumerate(schedule.segments):
+        hams = np.array([segment_hamiltonian(schedule, seg, scale=1.0 + b) for b in betas])
+        gen = lindblad_rhs(units, hams[:, None], channels).reshape(len(hams), n, n)
+        out[j] = _expm(seg.duration * gen)
+    return out
 
 
 def kron_liouvillian(ham, channels=()) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Open-system propagation: collapse channels, the master equation right-hand
-side, density-matrix invariants, the exact per-segment channels against RK4
-and Kronecker-product references, and the cardinal-state gate metrics."""
+side, density-matrix invariants, the stacked exact channels against their
+per-segment construction and against RK4 and Kronecker-product references,
+and the cardinal-state gate metrics."""
 
 import math
 
@@ -28,8 +29,8 @@ from georobust import (
     standard_channels,
 )
 from georobust import lindblad
-from georobust.lindblad import _expm, _open_gate_metrics, _segment_channel
-from oracles import FEASIBLE_PAIRS, kron_liouvillian, rk4_propagate_density
+from georobust.lindblad import _expm, _open_gate_metrics, _propagate, _segment_channels
+from oracles import FEASIBLE_PAIRS, kron_liouvillian, rk4_propagate_density, segment_channels
 
 NOT = GateSpec.not_gate()
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -117,18 +118,55 @@ def test_propagate_density_checks_each_segment_once(monkeypatch):
     seen = []
     real = lindblad.check_density
 
-    def counting(rho, name):
+    def counting(rho, name="density matrix"):
         seen.append(np.shape(rho))
         real(rho, name)
 
     monkeypatch.setattr(lindblad, "check_density", counting)
     open_gate_metrics(sched, standard_channels("lambda", 1e-4, 1e-4))
-    assert seen == [(6, 3, 3)] * (1 + len(sched.segments))
+    assert seen == [((1 + len(sched.segments)) * 6, 3, 3)]
+
+
+def corrupt_segments(monkeypatch, bad):
+    """Make _segment_channels add value to entry (row, col) of the channel of
+    segment j at beta index b, for each (j, b): (row, col, value) in bad; the
+    image of matrix unit `row` gains `value` at entry `col`."""
+    real = lindblad._segment_channels
+
+    def corrupted(schedule, channels, betas):
+        chans = real(schedule, channels, betas)
+        for (j, b), (row, col, value) in bad.items():
+            chans[j, b, row, col] += value
+        return chans
+
+    monkeypatch.setattr(lindblad, "_segment_channels", corrupted)
+
+
+def test_propagate_names_earliest_failing_segment_and_state(monkeypatch):
+    # three undriven segments without decay leave every state in place. At
+    # segment 1 the image of |1><1| (vec row 3) gains trace, so |1> (state 1)
+    # is the first to fail; segment 2 breaks hermiticity for every state,
+    # which one check of the whole stack meets first, but later in
+    # propagation order.
+    sched = PulseSchedule("two", (PulseSegment(1.0, 0.0, 0.0),) * 3)
+    rho0 = cardinal_densities(2)
+    corrupt_segments(monkeypatch, {(1, 0): (3, 0, 0.5), (2, 0): (0, 1, 0.3)})
+    with pytest.raises(InvariantError,
+                       match=r"^density matrix after segment 1 \(state 1\) trace deviates"):
+        _propagate(sched, rho0, (), (0.0,))
+    with pytest.raises(InvariantError, match=r"^initial density matrix \(state 0\) trace"):
+        _propagate(sched, 2.0 * rho0, (), (0.0,))
+    # states are numbered beta-major: |1> at the second beta is state 6 + 1
+    monkeypatch.undo()
+    corrupt_segments(monkeypatch, {(1, 1): (3, 0, 0.5), (2, 0): (0, 1, 0.3)})
+    with pytest.raises(InvariantError,
+                       match=r"^density matrix after segment 1 \(state 7\) trace deviates"):
+        _propagate(sched, rho0, (), (0.0, 0.01))
 
 
 def test_propagate_density_input_validation():
     sched = family_build("dg", NOT)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match=r"^initial density matrix trace deviates"):
         propagate_density(sched, np.eye(2).astype(complex))
 
 
@@ -321,7 +359,9 @@ def test_segment_channel_is_trace_preserving_and_completely_positive(
     seg = PulseSegment(duration, amplitude, phase)
     sched = PulseSchedule(system, (seg,), theta=theta, phi=phi if system == "lambda" else 0.0)
     d = sched.dim
-    (chan,) = _segment_channel(sched, seg, standard_channels(system, gamma1, gamma2), (0.0,))
+    chans = _segment_channels(sched, standard_channels(system, gamma1, gamma2), (0.0,))
+    assert chans.shape == (1, 1, d * d, d * d)
+    chan = chans[0, 0]
     # Tr(rho') = vec(rho) . (chan @ vec(1)), so trace preservation is chan @ vec(1) = vec(1)
     vec_eye = np.eye(d).reshape(-1)
     assert np.max(np.abs(chan @ vec_eye - vec_eye)) <= 1e-12
@@ -329,3 +369,34 @@ def test_segment_channel_is_trace_preserving_and_completely_positive(
     choi = chan.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     assert np.max(np.abs(choi - choi.conj().T)) <= 1e-12
     assert np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min() >= -1e-12
+
+
+@PROPERTY
+@given(system=st.sampled_from(["two", "lambda"]),
+       durations=st.lists(st.floats(min_value=1e-3, max_value=4 * math.pi),
+                          min_size=1, max_size=5, unique=True),
+       amplitudes=st.lists(st.floats(min_value=0.0, max_value=3.0),
+                           min_size=5, max_size=5, unique=True),
+       phases=st.lists(st.floats(min_value=-math.pi, max_value=math.pi), min_size=5, max_size=5),
+       betas=st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=1, max_size=4),
+       gamma=st.floats(min_value=0.0, max_value=1.0),
+       theta=st.floats(min_value=0.0, max_value=math.pi),
+       phi=st.floats(min_value=-math.pi, max_value=math.pi))
+def test_segment_channels_stack_matches_per_segment_oracle(
+        system, durations, amplitudes, phases, betas, gamma, theta, phi):
+    # unequal durations and amplitudes give the members of the stack their
+    # own squaring counts, so some are squared more often than others
+    segs = tuple(PulseSegment(t, a, p) for t, a, p in zip(durations, amplitudes, phases))
+    sched = PulseSchedule(system, segs, theta=theta, phi=phi if system == "lambda" else 0.0)
+    chans = standard_channels(system, gamma, gamma / 2)
+    stacked = _segment_channels(sched, chans, betas)
+    assert stacked.shape == (len(segs), len(betas), sched.dim**2, sched.dim**2)
+    assert np.array_equal(stacked, segment_channels(sched, chans, betas))
+
+
+def test_segment_channels_of_an_empty_schedule():
+    sched = family_build("dg", GateSpec.identity())
+    assert _segment_channels(sched, standard_channels("two", 1e-3, 1e-3), (0.0, 0.1)).shape == (
+        0, 2, 4, 4)
+    rho0 = cardinal_densities(2)
+    assert np.array_equal(_propagate(sched, rho0, (), (0.0, 0.1)), np.array([rho0, rho0]))

@@ -107,17 +107,43 @@ def test_beta_blocks_do_not_change_bytes(monkeypatch):
 
 def test_run_sweep_builds_each_family_once(monkeypatch):
     import georobust.sweep
+    from georobust.gates import _certified
 
-    built = []
+    certified = []
 
-    def counting_build(family, spec):
-        built.append(family)
-        return family_build(family, spec)
+    def counting(family, spec):
+        certified.append(family)
+        return _certified(family, spec)
 
-    monkeypatch.setattr(georobust.sweep, "family_build", counting_build)
+    monkeypatch.setattr(georobust.sweep, "_certified", counting)
     rows = run_sweep(SweepConfig(families=("ngqc", "dg"), gammas=(0.0, 1e-4), **SMALL))
     assert len(rows) == 20
-    assert sorted(built) == ["dg", "ngqc"]
+    assert sorted(certified) == ["dg", "ngqc"]
+
+
+@pytest.mark.parametrize("command,families", [
+    (lambda: main(["build", "--family", "sr-nhqc", "--gate", "not"]), 1),
+    (lambda: check_src_report(("ngqc", "sr-ngqc")), 2),
+    (lambda: run_sweep(SweepConfig(families=("ngqc", "sr-ngqc"), **SMALL)), 2),
+], ids=["build", "check-src", "sweep"])
+def test_each_family_is_assembled_and_src_checked_once(command, families, monkeypatch, capsys):
+    import georobust
+
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for mod in (georobust.gates, georobust.sweep, georobust.cli):
+        for name in ("assemble_schedule", "src_residual"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    command()
+    capsys.readouterr()
+    assert sorted(calls) == ["assemble_schedule"] * families + ["src_residual"] * families
 
 
 def test_run_sweep_row_order_and_repeatability():
