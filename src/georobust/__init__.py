@@ -44,9 +44,6 @@ from .pulses import (
     segment_propagator,
 )
 from .robustness import (
-    AuxiliaryBasis,
-    auxiliary_basis,
-    auxiliary_frame,
     d_matrix,
     frame_anchor,
     dynamical_integrals,
@@ -73,7 +70,6 @@ from .sweep import (
     rows_to_csv,
     run_sweep,
     sweep_beta,
-    sweep_grid,
 )
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ from .sweep import (
     deltas_to_csv,
     report_table1,
     rows_to_csv,
+    run_sweep,
     sweep_beta,
-    sweep_grid,
     write_text,
 )
 
@@ -188,7 +188,7 @@ def cmd_sweep_grid(args) -> int:
     config = _sweep_config(args)
     if not config.out:
         raise ConfigError("sweep-grid requires --out (it also writes <out>.delta.csv)")
-    rows = sweep_grid(config)
+    rows = run_sweep(config)
     write_text(config.out, rows_to_csv(rows))
     write_text(config.out + ".delta.csv", deltas_to_csv(delta_rows(rows)))
     return 0

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .pulses import LAMBDA, TWO_LEVEL, PulseSchedule, bright_dark, schedule_propagator
+from .pulses import LAMBDA, TWO_LEVEL, PulseSchedule, _drive, schedule_propagator
 
 DENSITY_HERMITIAN_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-9
@@ -164,9 +164,9 @@ def _segment_channels(schedule: PulseSchedule, channels, betas) -> np.ndarray:
     """The exact channel of every segment at every beta, as one
     (segments, len(betas), d^2, d^2) stack acting on row-major vec(rho) rows.
 
-    The Hamiltonians of all segments and betas come from one broadcast
-    expression, each member bit-equal to segment_hamiltonian; one lindblad_rhs
-    call on the matrix units builds the generators, so the dissipator is built
+    The Hamiltonians of all segments and betas come from one broadcast _drive
+    call, each member bit-equal to segment_hamiltonian; one lindblad_rhs call
+    on the matrix units builds the generators, so the dissipator is built
     once; and one _expm call exponentiates them all.
     """
     d = schedule.dim
@@ -175,17 +175,7 @@ def _segment_channels(schedule: PulseSchedule, channels, betas) -> np.ndarray:
     scale = 1.0 + np.asarray(betas, dtype=float)
     amp = np.array([seg.amplitude for seg in segs])[:, None]
     phase = np.array([seg.phase for seg in segs])[:, None]
-    if schedule.system == TWO_LEVEL:
-        off = 0.5 * scale * amp * np.exp(1j * phase)
-        hams = np.zeros(off.shape + (2, 2), dtype=complex)
-        hams[..., 0, 1] = off
-        hams[..., 1, 0] = np.conj(off)
-    else:
-        bright, _ = bright_dark(schedule.theta, schedule.phi)
-        exc = np.array([0.0, 0.0, 1.0], dtype=complex)
-        coef = 0.5 * scale * amp * np.exp(-1j * phase)
-        hams = coef[..., None, None] * np.outer(bright, exc.conj())
-        hams = hams + hams.conj().swapaxes(-1, -2)
+    hams = _drive(schedule, scale, amp, phase)
     units = np.eye(n, dtype=complex).reshape(n, d, d)
     gen = lindblad_rhs(units, hams[:, :, None], channels).reshape(len(segs), len(scale), n, n)
     durations = np.array([seg.duration for seg in segs])

@@ -90,23 +90,6 @@ class PulseSchedule:
         """Cumulative segment boundary times, starting at 0.0."""
         return np.concatenate([[0.0], np.cumsum([s.duration for s in self.segments])])
 
-    def segment_index(self, t: float) -> int:
-        """Index of the segment containing time t (boundaries belong to the later one)."""
-        if not self.segments:
-            raise ValueError("schedule has no segments")
-        bounds = self.boundaries()
-        if t < -1e-12 or t > bounds[-1] + 1e-12:
-            raise ValueError(f"t={t!r} lies outside the schedule [0, {bounds[-1]!r}]")
-        idx = int(np.searchsorted(bounds, min(max(t, 0.0), bounds[-1]), side="right")) - 1
-        return min(idx, len(self.segments) - 1)
-
-    def area_at(self, t: float) -> float:
-        """Accumulated pulse area between 0 and t."""
-        idx = self.segment_index(t)
-        bounds = self.boundaries()
-        done = sum(s.area for s in self.segments[:idx])
-        return float(done + (t - bounds[idx]) * self.segments[idx].amplitude)
-
 
 def pulse_area(schedule: PulseSchedule) -> float:
     """Total integrated Rabi area of the schedule; 0.0 for an empty schedule."""
@@ -123,13 +106,24 @@ def bright_dark(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
 
 def segment_hamiltonian(schedule: PulseSchedule, seg: PulseSegment, scale: float = 1.0) -> np.ndarray:
     """Hamiltonian of one segment, with the amplitude multiplied by `scale`."""
+    return _drive(schedule, scale, seg.amplitude, seg.phase)
+
+
+def _drive(schedule: PulseSchedule, scale, amplitude, phase) -> np.ndarray:
+    """The drive Hamiltonian of the module docstring at amplitude
+    scale * amplitude and phase `phase`. Array arguments broadcast to a shape
+    S and give an S + (d, d) stack whose members have the bits of the scalar
+    calls, so one call serves several segments and betas."""
     if schedule.system == TWO_LEVEL:
-        off = 0.5 * scale * seg.amplitude * np.exp(1j * seg.phase)
-        return np.array([[0.0, off], [np.conj(off), 0.0]], dtype=complex)
-    bright, _ = bright_dark(schedule.theta, schedule.phi)
-    exc = np.array([0.0, 0.0, 1.0], dtype=complex)
-    ham = 0.5 * scale * seg.amplitude * np.exp(-1j * seg.phase) * np.outer(bright, exc.conj())
-    return ham + ham.conj().T
+        off = 0.5 * scale * amplitude * np.exp(1j * phase)
+        ham = np.zeros(off.shape + (2, 2), dtype=complex)
+        ham[..., 0, 1] = off
+        ham[..., 1, 0] = np.conj(off)
+        return ham
+    basis = _lambda_basis(schedule.theta, schedule.phi)
+    coef = 0.5 * scale * amplitude * np.exp(-1j * phase)
+    ham = coef[..., None, None] * np.outer(basis[:, 1], basis[:, 2].conj())
+    return ham + ham.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

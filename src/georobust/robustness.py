@@ -27,7 +27,10 @@ with |b>, |d> the bright/dark states and |e> the excited state,
 
 Both frames satisfy the Schrodinger equation segment-by-segment up to a pure
 gauge phase and have identically vanishing diagonal drive elements, so the
-dynamical phase is erased by construction.
+dynamical phase is erased by construction. The package evaluates them only
+through the rotation kernel pulses._segment_frame, and samples no frame
+trajectory: d_matrix() takes psi_k(t) = U(t) psi_k(0), so D is the lab-basis
+integral D_op seen in the frame basis at t = 0.
 
 For the global Rabi error V = H the interaction-picture operator
 U^dag(t) H_j U(t) is constant on segment j, because H_j commutes with its own
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -75,55 +77,6 @@ CC_TOL = 1e-12
 def frame_anchor(schedule: PulseSchedule) -> float:
     """Initial frame angle alpha(0): stored in theta for two-level, 0 for Lambda."""
     return float(schedule.theta) if schedule.system == TWO_LEVEL else 0.0
-
-
-def auxiliary_frame(schedule: PulseSchedule, t: float) -> np.ndarray:
-    """Frame vectors at time t, as the columns of a unitary matrix.
-
-    At a segment boundary the later segment's phase applies (frames are
-    right-continuous; the pole-crossing makes the physical states continuous
-    anyway).
-    """
-    return _frame_in_segment(schedule, schedule.segment_index(t), t)
-
-
-@dataclass(frozen=True)
-class AuxiliaryBasis:
-    """Sampled frame trajectory: frames[k] is the column matrix at times[k]."""
-
-    times: np.ndarray
-    frames: np.ndarray
-
-    def end_overlap(self) -> np.ndarray:
-        """Overlap matrix frame(tau)^dag frame(0).
-
-        For a cyclic loop this is diagonal with unit-modulus entries, up to an
-        index permutation for families whose frame swaps after an odd number
-        of pi arcs.
-        """
-        return self.frames[-1].conj().T @ self.frames[0]
-
-
-def auxiliary_basis(schedule: PulseSchedule, samples_per_segment: int = 64) -> AuxiliaryBasis:
-    """Sample the analytic co-moving frame across the schedule, one frame
-    kernel call per segment. A segment's last sample is its own end, so at an
-    interior boundary it keeps the earlier segment's phase."""
-    if not schedule.segments:
-        raise ValueError("schedule has no segments")
-    bounds = schedule.boundaries()
-    times = [np.linspace(t0, t1, samples_per_segment) for t0, t1 in zip(bounds, bounds[1:])]
-    frames = [_frame_in_segment(schedule, j, t) for j, t in enumerate(times)]
-    return AuxiliaryBasis(times=np.concatenate(times), frames=np.concatenate(frames))
-
-
-def _frame_in_segment(schedule: PulseSchedule, seg_index: int, t) -> np.ndarray:
-    """auxiliary_frame with the segment pinned explicitly (boundary-safe); t may
-    be an array of times, giving a stack of frames."""
-    seg = schedule.segments[seg_index]
-    bounds = schedule.boundaries()
-    area = sum(s.area for s in schedule.segments[:seg_index])
-    alpha = frame_anchor(schedule) + area + (t - bounds[seg_index]) * seg.amplitude
-    return _segment_frame(schedule, alpha / 2.0, seg.phase)
 
 
 def _segment_sums(schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray]:
@@ -317,7 +270,8 @@ def _custom_segments(schedule: PulseSchedule, v) -> list[tuple]:
 
 
 def d_matrix(schedule: PulseSchedule, error: ErrorModel | None = None) -> np.ndarray:
-    """First-order error matrix D in the frame-state basis (full square matrix).
+    """First-order error matrix D in the frame-state basis at t = 0 (full
+    square matrix).
 
     error selects V (its beta is irrelevant here); the default is the global
     Rabi error V = H, whose D is the exact segment sum of propagated drive
@@ -335,7 +289,7 @@ def d_matrix(schedule: PulseSchedule, error: ErrorModel | None = None) -> np.nda
         d_lab = _segment_sums(schedule)[0]
     else:
         d_lab = sum(total for *_, total in _custom_segments(schedule, error.v))
-    frame0 = auxiliary_frame(schedule, 0.0)
+    frame0 = _segment_frame(schedule, 0.5 * frame_anchor(schedule), schedule.segments[0].phase)
     return frame0.conj().T @ d_lab @ frame0
 
 
@@ -377,12 +331,18 @@ def src_phasors(schedule: PulseSchedule) -> np.ndarray:
     return 0.5 * areas * np.exp(1j * theta_ph)
 
 
+def _src_element(schedule: PulseSchedule) -> tuple[int, int]:
+    """Index of the SRC element of D: (0, 1) on two-level schedules, the
+    bright/excited (1, 2) on Lambda schedules."""
+    return (0, 1) if schedule.system == TWO_LEVEL else (1, 2)
+
+
 def src_residual(schedule: PulseSchedule) -> complex:
     """The SRC off-diagonal element from the closed-form phasor sum.
 
-    Equals d_matrix()[0, 1] for two-level schedules and d_matrix()[1, 2] for
-    Lambda schedules under the global Rabi error. Falls back to d_matrix's
-    exact segment sum (with a warning) when the closed form does not apply.
+    Equals d_matrix()[_src_element()] under the global Rabi error. Falls back
+    to d_matrix's exact segment sum (with a warning) when the closed form does
+    not apply.
     """
     try:
         return complex(src_phasors(schedule).sum())
@@ -391,8 +351,7 @@ def src_residual(schedule: PulseSchedule) -> complex:
             "phase jumps off the frame poles: falling back to the d_matrix segment sum",
             stacklevel=2,
         )
-        d_op = d_matrix(schedule)
-        return complex(d_op[0, 1] if schedule.system == TWO_LEVEL else d_op[1, 2])
+        return complex(d_matrix(schedule)[_src_element(schedule)])
 
 
 def dynamical_integrals(schedule: PulseSchedule) -> np.ndarray:

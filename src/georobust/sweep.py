@@ -32,6 +32,7 @@ from .gates import FAMILIES, NAMED_GATES, GateSpec, _certified, family_build
 from .lindblad import _open_gate_metrics, standard_channels
 from .robustness import (
     _closed_gate_metrics,
+    _src_element,
     d_matrix,
     order_fit,
     quadratic_coefficient,
@@ -164,11 +165,6 @@ def sweep_beta(config: SweepConfig) -> list[SweepRow]:
     return run_sweep(replace(config, gammas=(0.0,)))
 
 
-def sweep_grid(config: SweepConfig) -> list[SweepRow]:
-    """Full (beta, gamma) grid sweep."""
-    return run_sweep(config)
-
-
 def delta_rows(rows: list[SweepRow]) -> list[tuple[str, float, float, float]]:
     """Fidelity differences for the standard family pairs, per (beta, gamma)."""
     table = {(r.family, r.beta, r.gamma): r.fidelity for r in rows}
@@ -272,9 +268,7 @@ def check_src_report(families=FAMILIES, gate: str = "not") -> tuple[str, bool]:
     for family in families:
         schedule, sol = _certified(family, spec)
         closed = sol.residual_src
-        d_op = d_matrix(schedule)
-        idx = (0, 1) if schedule.system == "two" else (1, 2)
-        numeric = abs(complex(d_op[idx]))
+        numeric = abs(complex(d_matrix(schedule)[_src_element(schedule)]))
         agree = abs(closed - numeric)
         if family in ("sr-ngqc", "sr-nhqc"):
             ok = closed <= 1e-6 and numeric <= 1e-6

@@ -2,18 +2,18 @@
 
 The package evaluates every global-Rabi quantity exactly, from closed-form
 segment exponentials, and every open-system channel as one Liouvillian
-exponential per segment. The references here integrate the same quantities
-directly in time instead: a midpoint-sampled propagator on segment-aligned
-grids built from the eigendecomposition exponential, trapezoid quadrature
-along the propagated trajectory, the frame-sampled dynamical-phase
-quadrature, and an RK4 integration of the master equation. The package
-integrates a custom V(t) by a Clenshaw-Curtis rule on closed-form
-trajectories; its reference is Gauss-Legendre quadrature on a trajectory
-stepped from node to node by eigendecomposition exponentials, nested for the
-cumulative integral inside the Magnus commutator term. For a V that is
+exponential per segment. The references here compute the same quantities
+another way. A midpoint-sampled propagator on segment-aligned grids, built
+from the eigendecomposition exponential, integrates the schedule directly in
+time, and trapezoid quadrature over the column-by-column co-moving frames
+gives the dynamical phases. For the global Rabi error or any V that is
 constant on each segment, the Dyson terms are blocks of one block-triangular
 exponential per segment, taken by scipy (Van Loan, IEEE Trans. Autom.
-Control 23, 395 (1978)). The Kronecker-product Liouvillian gives tests a
+Control 23, 395 (1978)). The package integrates a custom V(t) by a
+Clenshaw-Curtis rule on closed-form trajectories; its reference is
+Gauss-Legendre quadrature on a trajectory stepped from node to node by
+eigendecomposition exponentials, nested for the cumulative integral inside
+the Magnus commutator term. The Kronecker-product Liouvillian gives tests a
 second, independently assembled generator for scipy's exponential. These
 references share no code path with the exact segment sums and channels they
 check. The scalar segment propagator and co-moving frame are also written out
@@ -39,14 +39,10 @@ from georobust import (
     FAMILIES,
     NAMED_GATES,
     InvariantError,
-    auxiliary_basis,
-    auxiliary_frame,
     bright_dark,
-    check_density,
     frame_anchor,
     lindblad_rhs,
     segment_hamiltonian,
-    segment_propagator,
 )
 from georobust.lindblad import _expm
 
@@ -212,8 +208,10 @@ def propagate_state(hamiltonian, grid: TimeGrid, psi0: np.ndarray):
 
 
 def hamiltonian(schedule, t: float) -> np.ndarray:
-    """Drive Hamiltonian at time t; a boundary belongs to the later segment."""
-    return segment_hamiltonian(schedule, schedule.segments[schedule.segment_index(t)])
+    """Drive Hamiltonian at time t in [0, duration]; a boundary belongs to the
+    later segment, and the end to the last one."""
+    j = int(np.searchsorted(schedule.boundaries(), t, side="right")) - 1
+    return segment_hamiltonian(schedule, schedule.segments[min(j, len(schedule.segments) - 1)])
 
 
 def segment_grids(schedule, steps_per_pi: int) -> list[TimeGrid]:
@@ -232,39 +230,6 @@ def integrate_schedule(schedule, steps_per_pi: int) -> np.ndarray:
     for grid in segment_grids(schedule, steps_per_pi):
         u = propagate_unitary(lambda t: hamiltonian(schedule, t), grid) @ u
     return u
-
-
-def trapezoid_error_integrals(schedule, v=None, steps_per_pi: int = 2000):
-    """(D in the frame basis, D_op, G_op) by trapezoid quadrature.
-
-    V_H(t) = U^dag(t) V(t) U(t) is sampled on segment-aligned grids along the
-    midpoint-integrated trajectory; v=None is the global Rabi error, V = H of
-    the segment being integrated. D_op accumulates the trapezoid rule, and
-    G_op = integral [V_H, D(t)] dt + D_op^2 uses the cumulative trapezoid D(t).
-    """
-    dim = schedule.dim
-    u = np.eye(dim, dtype=complex)
-    d_cum = np.zeros((dim, dim), dtype=complex)
-    g_comm = np.zeros((dim, dim), dtype=complex)
-    for seg, grid in zip(schedule.segments, segment_grids(schedule, steps_per_pi)):
-        ham = segment_hamiltonian(schedule, seg)
-        times, traj = propagate_unitary(lambda t: ham, grid, return_trajectory=True)
-        traj = traj @ u
-        u = traj[-1]
-        v_t = np.array([ham if v is None else np.asarray(v(t), dtype=complex) for t in times])
-        v_h = np.einsum("tji,tjk,tkm->tim", traj.conj(), v_t, traj)
-        dt = grid.step
-        incr = 0.5 * dt * (v_h[1:] + v_h[:-1])
-        d_t = np.concatenate([[d_cum], d_cum + np.cumsum(incr, axis=0)])
-        comm = v_h @ d_t - d_t @ v_h
-        g_comm += dt * (comm.sum(axis=0) - 0.5 * (comm[0] + comm[-1]))
-        d_cum = d_t[-1]
-    if schedule.segments:
-        frame0 = auxiliary_frame(schedule, 0.0)
-        d_frame = frame0.conj().T @ d_cum @ frame0
-    else:
-        d_frame = d_cum
-    return d_frame, d_cum, g_comm + d_cum @ d_cum
 
 
 def _gl_interaction(schedule, seg, t0: float, u: np.ndarray, v, offsets: np.ndarray) -> np.ndarray:
@@ -313,7 +278,7 @@ def gauss_legendre_error_integrals(schedule, v, nodes: int = 40):
         d_cum = d_cum + 0.5 * seg.duration * np.einsum("t,tij->ij", w, v_h)
         u = mat_exp_hermitian(segment_hamiltonian(schedule, seg), seg.duration) @ u
     if schedule.segments:
-        frame0 = auxiliary_frame(schedule, 0.0)
+        frame0 = reference_frame(schedule, 0, 0.0)
         d_frame = frame0.conj().T @ d_cum @ frame0
     else:
         d_frame = d_cum
@@ -344,39 +309,31 @@ def dyson_error_operators(schedule, v=None):
     return 1j * u_dag @ total[:dim, dim:2 * dim], -2.0 * u_dag @ total[:dim, 2 * dim:]
 
 
+def sampled_frames(schedule, samples_per_segment: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """(times, frames): reference_frame at samples_per_segment evenly spaced
+    times on each segment, its ends included. A segment's last sample is its
+    own end, so at an interior boundary both segments' frames appear."""
+    bounds = schedule.boundaries()
+    times = np.concatenate([
+        np.linspace(t0, t1, samples_per_segment) for t0, t1 in zip(bounds, bounds[1:])
+    ])
+    frames = [
+        reference_frame(schedule, k // samples_per_segment, t) for k, t in enumerate(times)
+    ]
+    return times, np.array(frames)
+
+
 def sampled_dynamical_integrals(schedule, samples_per_segment: int = 64) -> np.ndarray:
     """Trapezoid integrals of <zeta_k(t)| H |zeta_k(t)> over the analytic frames."""
-    basis = auxiliary_basis(schedule, samples_per_segment)
+    times, frames = sampled_frames(schedule, samples_per_segment)
     totals = np.zeros(schedule.dim, dtype=complex)
     for j, seg in enumerate(schedule.segments):
         rows = slice(j * samples_per_segment, (j + 1) * samples_per_segment)
-        frames, ts = basis.frames[rows], basis.times[rows]
         ham = segment_hamiltonian(schedule, seg)
-        vals = np.einsum("tik,ij,tjk->tk", frames.conj(), ham, frames)
-        dt = ts[1] - ts[0]
+        vals = np.einsum("tik,ij,tjk->tk", frames[rows].conj(), ham, frames[rows])
+        dt = times[rows][1] - times[rows][0]
         totals += dt * (vals.sum(axis=0) - 0.5 * (vals[0] + vals[-1]))
     return totals
-
-
-def rk4_propagate_density(schedule, rho0, channels=(), beta: float = 0.0,
-                          steps_per_pi: int = 2000) -> np.ndarray:
-    """Integrate the master equation with fixed RK4 steps aligned to the
-    segment boundaries, ceil(steps_per_pi * duration / pi) per segment; the
-    density invariants are checked after every segment."""
-    stack = np.asarray(rho0, dtype=complex)
-    for seg in schedule.segments:
-        ham = segment_hamiltonian(schedule, seg, scale=1.0 + beta)
-        steps = max(1, math.ceil(steps_per_pi * seg.duration / math.pi))
-        dt = seg.duration / steps
-        for _ in range(steps):
-            k1 = lindblad_rhs(stack, ham, channels)
-            k2 = lindblad_rhs(stack + 0.5 * dt * k1, ham, channels)
-            k3 = lindblad_rhs(stack + 0.5 * dt * k2, ham, channels)
-            k4 = lindblad_rhs(stack + dt * k3, ham, channels)
-            stack = stack + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        for mat in stack.reshape(-1, schedule.dim, schedule.dim):
-            check_density(mat, name="density matrix after segment")
-    return stack
 
 
 def segment_channels(schedule, channels, betas) -> np.ndarray:

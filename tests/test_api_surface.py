@@ -6,6 +6,7 @@ names, which must keep working.
 """
 
 import ast
+import collections
 import inspect
 import pathlib
 import subprocess
@@ -16,10 +17,10 @@ import georobust
 import georobust.cli
 
 PUBLIC_NAMES = {
-    "AuxiliaryBasis", "CollapseChannel", "ConfigError", "ErrorModel", "FAMILIES",
+    "CollapseChannel", "ConfigError", "ErrorModel", "FAMILIES",
     "GateSpec", "GeorobustError", "InvariantError", "NAMED_GATES", "PhaseJumpSolution",
     "PulseSchedule", "PulseSegment", "SR_FAMILIES", "SerializationError", "SolverError",
-    "SweepConfig", "SweepRow", "assemble_schedule", "auxiliary_basis", "auxiliary_frame",
+    "SweepConfig", "SweepRow", "assemble_schedule",
     "beta_grid", "bright_dark", "cardinal_states", "check_density",
     "check_src_report", "d_matrix", "delta_rows",
     "deltas_to_csv", "dynamical_integrals", "family_build", "fidelity_prediction",
@@ -29,7 +30,7 @@ PUBLIC_NAMES = {
     "pulse_area", "quadratic_coefficient", "report_table1", "rows_to_csv", "run_sweep",
     "save_schedule", "schedule_from_text", "schedule_propagator", "schedule_to_text",
     "segment_hamiltonian", "segment_propagator", "solve_phase_jumps",
-    "src_phasors", "src_residual", "standard_channels", "sweep_beta", "sweep_grid",
+    "src_phasors", "src_residual", "standard_channels", "sweep_beta",
     "target_unitary",
 }
 
@@ -112,3 +113,35 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
     assert georobust.cli.main(["check-src", "--families", "sr-ngqc"]) == 0
     assert georobust.cli.main(["check-src", "--families", "bogus"]) == 4
     assert "sr-ngqc" in capsys.readouterr().out
+
+
+def test_every_module_level_definition_is_exported_or_used():
+    # a function or class that __init__ does not export and no other code in
+    # the package names is dead; references inside its own body do not count
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(pathlib.Path(georobust.__file__).parent.glob("*.py"))
+    }
+    exported = {
+        alias.asname or alias.name
+        for node in trees["__init__.py"].body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    used = collections.Counter(name for tree in trees.values() for name in names(tree))
+    dead = [
+        f"{module}:{node.lineno} {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in exported
+        and used[node.name] == sum(name == node.name for name in names(node))
+    ]
+    assert dead == []

@@ -1,7 +1,7 @@
 """Open-system propagation: collapse channels, the master equation right-hand
 side, density-matrix invariants, the stacked exact channels against their
-per-segment construction and against RK4 and Kronecker-product references,
-and the cardinal-state gate metrics."""
+per-segment construction and against a Kronecker-product reference, and
+the cardinal-state gate metrics."""
 
 import math
 
@@ -30,7 +30,7 @@ from georobust import (
 )
 from georobust import lindblad
 from georobust.lindblad import _expm, _open_gate_metrics, _propagate, _segment_channels
-from oracles import FEASIBLE_PAIRS, kron_liouvillian, rk4_propagate_density, segment_channels
+from oracles import FEASIBLE_PAIRS, kron_liouvillian, segment_channels
 
 NOT = GateSpec.not_gate()
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -313,16 +313,6 @@ def test_batched_open_metrics_match_single_beta():
             batched = _open_gate_metrics(sched, chans, betas)
             single = [open_gate_metrics(sched, chans, beta=b) for b in betas]
             assert batched == single, (fam, gate, gamma)
-
-
-def test_exact_channel_matches_rk4():
-    for fam in ("dg", "nhqc"):
-        sched = family_build(fam, NOT)
-        rho0 = cardinal_densities(sched.dim)
-        chans = standard_channels(sched.system, 1e-2, 1e-2)
-        exact = propagate_density(sched, rho0, chans, beta=0.03)
-        ref = rk4_propagate_density(sched, rho0, chans, beta=0.03, steps_per_pi=2000)
-        np.testing.assert_allclose(exact, ref, rtol=0, atol=1e-10, err_msg=fam)
 
 
 def test_exact_channel_matches_kron_liouvillian():

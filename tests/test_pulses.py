@@ -22,7 +22,7 @@ from georobust import (
     segment_hamiltonian,
     segment_propagator,
 )
-from georobust import pulses, robustness
+from georobust import frame_anchor, pulses
 from oracles import (
     TimeGrid,
     hamiltonian,
@@ -75,22 +75,6 @@ def test_schedule_validation():
     assert lam(PulseSegment(1.0, 1.0, 0.0)).dim == 3
     assert sched.duration == pytest.approx(3.0)
     np.testing.assert_allclose(sched.boundaries(), [0.0, 1.0, 3.0])
-
-
-def test_segment_index_and_area_at():
-    sched = two_level(PulseSegment(1.0, 1.0, 0.0), PulseSegment(2.0, 0.5, 0.3))
-    assert sched.segment_index(0.0) == 0
-    assert sched.segment_index(0.999) == 0
-    # boundaries belong to the later segment
-    assert sched.segment_index(1.0) == 1
-    assert sched.segment_index(3.0) == 1
-    with pytest.raises(ValueError):
-        sched.segment_index(3.1)
-    with pytest.raises(ValueError):
-        sched.segment_index(-0.1)
-    assert sched.area_at(0.5) == pytest.approx(0.5)
-    assert sched.area_at(2.0) == pytest.approx(1.5)
-    assert sched.area_at(3.0) == pytest.approx(pulse_area(sched))
 
 
 def test_pulse_area_empty_schedule():
@@ -241,10 +225,15 @@ def test_stacked_propagators_match_scalar_reference_bit_for_bit(system, segments
 def test_stacked_frames_match_scalar_reference(system, segments, theta, phi, fractions, data):
     sched = PulseSchedule(system, tuple(segments), theta=theta, phi=phi)
     j = data.draw(st.integers(0, len(segments) - 1))
-    times = sched.boundaries()[j] + np.array(fractions) * segments[j].duration
-    stack = robustness._frame_in_segment(sched, j, times)
-    for frame, t in zip(stack, times.tolist()):
-        assert np.array_equal(frame, robustness._frame_in_segment(sched, j, t))
+    seg = segments[j]
+    bound = sched.boundaries()[j]
+    area = sum(s.area for s in segments[:j])
+    times = bound + np.array(fractions) * seg.duration
+    # the frame angle alpha at each time, as reference_frame forms it
+    alphas = frame_anchor(sched) + area + (times - bound) * seg.amplitude
+    stack = pulses._segment_frame(sched, alphas / 2.0, seg.phase)
+    for frame, t, alpha in zip(stack, times.tolist(), alphas.tolist()):
+        assert np.array_equal(frame, pulses._segment_frame(sched, alpha / 2.0, seg.phase))
         ref = reference_frame(sched, j, t)
         if system == "two" or phi == 0.0:
             assert np.array_equal(frame, ref)

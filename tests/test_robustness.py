@@ -1,9 +1,9 @@
-"""Auxiliary frames, the error matrix D, the super-robust sum, Magnus terms,
-fidelity laws, and geometric phases."""
+"""Co-moving frames (sampled from the column-by-column reference), the error
+matrix D, the super-robust sum, Magnus terms, fidelity laws, and geometric
+phases."""
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +17,6 @@ from georobust import (
     InvariantError,
     PulseSchedule,
     PulseSegment,
-    auxiliary_basis,
-    auxiliary_frame,
     d_matrix,
     dynamical_integrals,
     family_build,
@@ -49,7 +47,7 @@ from oracles import (
     mat_exp_hermitian,
     reference_frame,
     sampled_dynamical_integrals,
-    trapezoid_error_integrals,
+    sampled_frames,
 )
 
 NOT = GateSpec.not_gate()
@@ -74,8 +72,7 @@ def pancharatnam(schedule, column, samples_per_segment=512):
     invariant, so it gives the loop phase without touching the frame
     construction being tested.
     """
-    basis = auxiliary_basis(schedule, samples_per_segment)
-    chis = basis.frames[:, :, column]
+    chis = sampled_frames(schedule, samples_per_segment)[1][:, :, column]
     overlaps = np.einsum("ti,ti->t", chis[:-1].conj(), chis[1:])
     closure = np.vdot(chis[-1], chis[0])
     return float(np.angle(np.prod(overlaps) * closure))
@@ -89,9 +86,8 @@ def test_frame_anchor_values(not_schedules):
 
 def test_frames_are_orthonormal(not_schedules):
     for fam, sched in not_schedules.items():
-        basis = auxiliary_basis(sched, samples_per_segment=32)
         eye = np.eye(sched.dim)
-        for frame in basis.frames:
+        for frame in sampled_frames(sched, samples_per_segment=32)[1]:
             np.testing.assert_allclose(frame.conj().T @ frame, eye, atol=1e-12, err_msg=fam)
 
 
@@ -102,48 +98,48 @@ def test_frames_solve_the_schroedinger_equation(not_schedules):
     for fam, sched in not_schedules.items():
         bounds = sched.boundaries()
         u = np.eye(sched.dim, dtype=complex)
-        frame0 = auxiliary_frame(sched, 0.0)
+        frame0 = reference_frame(sched, 0, 0.0)
         for j, seg in enumerate(sched.segments):
             ham = segment_hamiltonian(sched, seg)
             for frac in (0.25, 0.5, 0.9):
                 t = bounds[j] + frac * seg.duration
                 u_t = mat_exp_hermitian(ham, frac * seg.duration) @ u
-                frame_t = auxiliary_frame(sched, t)
+                frame_t = reference_frame(sched, j, t)
                 overlaps = np.abs(np.einsum("ik,ik->k", frame_t.conj(), u_t @ frame0))
                 np.testing.assert_allclose(overlaps, 1.0, atol=1e-9, err_msg=fam)
             u = mat_exp_hermitian(ham, seg.duration) @ u
+
+
+def end_overlap(schedule):
+    """frame(tau)^dag frame(0) of the sampled loop."""
+    frames = sampled_frames(schedule)[1]
+    return frames[-1].conj().T @ frames[0]
 
 
 def test_frame_loop_closure(not_schedules):
     # cyclic families return to the starting frame; the pi-area families come
     # back with the two tracked columns exchanged
     for fam in ("ngqc", "nhqc", "sr-nhqc"):
-        overlap = np.abs(auxiliary_basis(not_schedules[fam]).end_overlap())
+        overlap = np.abs(end_overlap(not_schedules[fam]))
         np.testing.assert_allclose(overlap, np.eye(not_schedules[fam].dim), atol=1e-9, err_msg=fam)
     for fam, cols in (("dg", (0, 1)), ("sr-ngqc", (0, 1))):
-        overlap = np.abs(auxiliary_basis(not_schedules[fam]).end_overlap())
+        overlap = np.abs(end_overlap(not_schedules[fam]))
         swap = np.zeros_like(overlap)
         swap[cols[0], cols[1]] = swap[cols[1], cols[0]] = 1.0
         np.testing.assert_allclose(overlap, swap, atol=1e-9, err_msg=fam)
 
 
-def test_auxiliary_basis_matches_one_point_frames():
-    # one kernel call per segment gives the bits of one call per time; a
-    # segment's last sample is its own end, where auxiliary_frame would take
-    # the next segment at an interior boundary. The reachable gates have
-    # phi = 0, where the frames also match the column-by-column reference.
-    per_segment = 9
+def test_d_matrix_basis_is_the_reference_frame_at_zero():
+    # d_matrix turns the lab-basis D_op into the frame basis at t = 0 with one
+    # kernel call; the reachable gates have phi = 0, where that frame has the
+    # bits of the column-by-column reference
     for family, gate in FEASIBLE_PAIRS:
         sched = family_build(family, NAMED_GATES[gate])
         if not sched.segments:
             continue
-        basis = auxiliary_basis(sched, per_segment)
-        last = len(basis.times) - 1
-        for k, (t, frame) in enumerate(zip(basis.times.tolist(), basis.frames)):
-            j = k // per_segment
-            assert np.array_equal(frame, reference_frame(sched, j, t)), (family, gate, k)
-            if k % per_segment != per_segment - 1 or k == last:
-                assert np.array_equal(frame, auxiliary_frame(sched, t)), (family, gate, k)
+        frame0 = reference_frame(sched, 0, 0.0)
+        expected = frame0.conj().T @ magnus_terms(sched)[0] @ frame0
+        assert np.array_equal(d_matrix(sched), expected), (family, gate)
 
 
 def test_dynamical_integrals_vanish(not_schedules):
@@ -159,21 +155,6 @@ def test_dynamical_integrals_match_frame_sampled_quadrature(not_schedules):
         assert exact.shape == (sched.dim,), fam
         np.testing.assert_allclose(exact, sampled_dynamical_integrals(sched), rtol=0,
                                    atol=1e-10, err_msg=fam)
-
-
-def test_exact_error_integrals_match_trapezoid_integration():
-    # D and the Magnus pair against trapezoid quadrature along a
-    # midpoint-integrated trajectory at 2000 steps per pi, on every feasible
-    # pair; for V = H the integrands are piecewise constant or linear, so the
-    # quadrature is exact up to roundoff
-    for fam, gate in FEASIBLE_PAIRS:
-        sched = family_build(fam, NAMED_GATES[gate])
-        d_frame, d_op, g_op = trapezoid_error_integrals(sched, steps_per_pi=2000)
-        exact_d, exact_g = magnus_terms(sched)
-        np.testing.assert_allclose(d_matrix(sched), d_frame, rtol=0, atol=1e-9,
-                                   err_msg=f"{fam} {gate}")
-        np.testing.assert_allclose(exact_d, d_op, rtol=0, atol=1e-9, err_msg=f"{fam} {gate}")
-        np.testing.assert_allclose(exact_g, g_op, rtol=0, atol=1e-9, err_msg=f"{fam} {gate}")
 
 
 @pytest.mark.parametrize("family,gate", FEASIBLE_PAIRS)

@@ -26,7 +26,6 @@ from georobust import (
     standard_channels,
     src_residual,
     sweep_beta,
-    sweep_grid,
 )
 from georobust.cli import load_config_file, main
 from georobust.gates import NAMED_GATES, GateSpec
