@@ -13,6 +13,7 @@ file.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .errors import ConfigError, InvariantError, SerializationError, SolverError
@@ -38,6 +39,12 @@ _CONFIG_ALIASES = {"family": "families", "gamma": "gammas"}
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-3" for an option; read a negative number in
+        # exponent form as a value, like "-0.1"
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse would exit(2); route to exit code 4 instead
         raise ConfigError(message)
 
@@ -153,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_build(args) -> int:
     spec = NAMED_GATES[args.gate]
-    schedule, sol = _certificate(args.family, spec)
+    schedule, sol, _ = _certificate(args.family, spec)
     print(
         f"family={sol.family} gate={args.gate} converged={sol.converged}\n"
         f"phases={[round(p, 12) for p in sol.phases]}\n"

@@ -211,40 +211,47 @@ def _phase_law(family: str, spec: GateSpec) -> tuple[float, ...]:
     return tuple(_wrap(p) for p in phases)
 
 
-def _certificate(family: str, spec: GateSpec) -> tuple[PulseSchedule, PhaseJumpSolution]:
-    """The family's schedule for spec and the solution certifying it: one
-    assembly, one propagation and one src_residual call (see
-    solve_phase_jumps). A failed certificate is reported, not raised."""
+def _certificate(
+    family: str, spec: GateSpec
+) -> tuple[PulseSchedule, PhaseJumpSolution, np.ndarray]:
+    """(schedule, solution, U0): the family's schedule for spec, the solution
+    certifying it and the schedule's ideal propagator, from one assembly, one
+    propagation and one src_residual call (see solve_phase_jumps). The
+    residuals are summed in Python complex arithmetic over the entries of U0
+    and target_unitary. A failed certificate is reported, not raised."""
     _check_family(family)
     phases = _phase_law(family, spec)
     sched = assemble_schedule(family, spec, phases)
-    u = schedule_propagator(sched)
-    t2 = target_unitary(spec)
-    block = u[:2, :2]
-    tr = np.trace(t2.conj().T @ block)
-    chi = np.angle(tr) if abs(tr) > 1e-12 else 0.0
-    parts = [(block - np.exp(1j * chi) * t2).ravel()]
+    u0 = schedule_propagator(sched)
+    rows = u0.tolist()
+    block = [*rows[0][:2], *rows[1][:2]]
+    target = [z for row in target_unitary(spec).tolist() for z in row]
+    tr = sum(t.conjugate() * z for t, z in zip(target, block))
+    aligned = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
+    parts = [z - aligned * t for z, t in zip(block, target)]
     if sched.system == LAMBDA:
-        parts.extend([u[2, :2], u[:2, 2]])
-    gate_res = float(np.linalg.norm(np.concatenate(parts)))
+        parts += [*rows[2][:2], rows[0][2], rows[1][2]]
+    gate_res = math.hypot(*(abs(z) for z in parts))
     src_res = abs(src_residual(sched))
     src_ok = src_res <= CERTIFICATE_TOL or family not in SR_FAMILIES
     return sched, PhaseJumpSolution(
         family=family, phases=phases, residual_gate=gate_res, residual_src=src_res,
         converged=gate_res <= CERTIFICATE_TOL and src_ok,
-    )
+    ), u0
 
 
-def _certified(family: str, spec: GateSpec) -> tuple[PulseSchedule, PhaseJumpSolution]:
+def _certified(
+    family: str, spec: GateSpec
+) -> tuple[PulseSchedule, PhaseJumpSolution, np.ndarray]:
     """_certificate, with SolverError if the certificate fails."""
-    sched, sol = _certificate(family, spec)
+    sched, sol, u0 = _certificate(family, spec)
     if not sol.converged:
         raise SolverError(
             f"{family} phase law failed its certificate for axis=(theta={spec.theta!r}, "
             f"phi={spec.phi!r}), gamma={spec.gamma!r}: residual_gate="
             f"{sol.residual_gate:.3e}, residual_src={sol.residual_src:.3e}"
         )
-    return sched, sol
+    return sched, sol, u0
 
 
 def solve_phase_jumps(family: str, spec: GateSpec) -> PhaseJumpSolution:

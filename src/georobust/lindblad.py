@@ -248,20 +248,20 @@ def open_gate_metrics(schedule: PulseSchedule, channels=(), beta: float = 0.0) -
     input; fidelity is <psi_t| rho(tau) |psi_t> averaged over the six inputs,
     and leakage is the average population outside the computational subspace.
     """
-    return _open_gate_metrics(schedule, channels, (beta,))[0]
+    return _open_gate_metrics(schedule, channels, (beta,), schedule_propagator(schedule))[0]
 
 
-def _open_gate_metrics(schedule: PulseSchedule, channels, betas) -> list[tuple[float, float]]:
-    """open_gate_metrics at each beta, propagating all betas as one stack."""
+def _open_gate_metrics(
+    schedule: PulseSchedule, channels, betas, u0: np.ndarray
+) -> list[tuple[float, float]]:
+    """open_gate_metrics at each beta, propagating all betas as one stack and
+    scoring them together, with targets from the ideal propagator u0."""
     dim = schedule.dim
-    u0 = schedule_propagator(schedule)
     psis = cardinal_states(dim)
     targets = psis @ u0.T
     rho0 = np.einsum("ki,kj->kij", psis, psis.conj())
-    out = []
-    for rho_tau in _propagate(schedule, rho0, channels, betas):
-        fid = np.einsum("ki,kij,kj->k", targets.conj(), rho_tau, targets).real
-        pops = np.einsum("kii->ki", rho_tau).real
-        leak = pops[:, 2:].sum(axis=1) if dim > 2 else np.zeros(len(psis))
-        out.append((float(fid.mean()), float(leak.mean())))
-    return out
+    rho_tau = _propagate(schedule, rho0, channels, betas)
+    fid = np.einsum("ki,bkij,kj->bk", targets.conj(), rho_tau, targets).real
+    pops = np.einsum("bkii->bki", rho_tau).real
+    leak = pops[:, :, 2:].sum(axis=2) if dim > 2 else np.zeros(fid.shape)
+    return list(zip(fid.mean(axis=1).tolist(), leak.mean(axis=1).tolist()))

@@ -293,14 +293,20 @@ def d_matrix(schedule: PulseSchedule, error: ErrorModel | None = None) -> np.nda
     return frame0.conj().T @ d_lab @ frame0
 
 
-def _boundary_parities(schedule: PulseSchedule) -> np.ndarray | None:
-    """Frame angle alpha in units of pi at interior boundaries, if pole-aligned."""
-    areas = np.array([s.area for s in schedule.segments])
-    alphas = frame_anchor(schedule) + np.cumsum(areas)[:-1]
-    m = alphas / math.pi
-    if np.any(np.abs(m - np.round(m)) > SRC_ALIGNMENT_TOL):
-        return None
-    return np.round(m).astype(int)
+def _boundary_parities(schedule: PulseSchedule) -> list[int] | None:
+    """Frame angle alpha in units of pi at interior boundaries, if pole-aligned:
+    the anchor plus the running sum of the earlier areas, in Python floats."""
+    anchor = frame_anchor(schedule)
+    parities = []
+    swept = 0.0
+    for seg in schedule.segments[:-1]:
+        swept += seg.area
+        m = (anchor + swept) / math.pi
+        pole = round(m)
+        if abs(m - pole) > SRC_ALIGNMENT_TOL:
+            return None
+        parities.append(pole)
+    return parities
 
 
 def src_phasors(schedule: PulseSchedule) -> np.ndarray:
@@ -310,25 +316,26 @@ def src_phasors(schedule: PulseSchedule) -> np.ndarray:
     first segment's effective phase and, at a pole crossing with alpha = m pi,
     jumps by (-1)^m times the phase jump (the gauge bookkeeping of the frame).
     For Lambda schedules the effective phase is the negated segment phase,
-    mirroring the two-level <-> bright/excited block correspondence.
+    mirroring the two-level <-> bright/excited block correspondence. The
+    angles are walked in Python floats; only the exponential is an array op.
 
     Raises ValueError when an interior boundary is not pole-aligned (no closed
     form there; use d_matrix instead).
     """
-    if not schedule.segments:
+    segs = schedule.segments
+    if not segs:
         return np.zeros(0, dtype=complex)
     parities = _boundary_parities(schedule)
     if parities is None:
         raise ValueError("phase jumps are not aligned with frame poles")
     sign = 1.0 if schedule.system == TWO_LEVEL else -1.0
-    eff = sign * np.array([s.phase for s in schedule.segments])
-    theta_ph = np.empty(len(eff))
-    theta_ph[0] = eff[0]
-    for j in range(1, len(eff)):
-        flip = -1.0 if parities[j - 1] % 2 else 1.0
-        theta_ph[j] = theta_ph[j - 1] + flip * (eff[j] - eff[j - 1])
-    areas = np.array([s.area for s in schedule.segments])
-    return 0.5 * areas * np.exp(1j * theta_ph)
+    eff = [sign * s.phase for s in segs]
+    angles = [eff[0]]
+    for j, parity in enumerate(parities, start=1):
+        flip = -1.0 if parity % 2 else 1.0
+        angles.append(angles[-1] + flip * (eff[j] - eff[j - 1]))
+    areas = np.array([s.area for s in segs])
+    return 0.5 * areas * np.exp(1j * np.array(angles))
 
 
 def _src_element(schedule: PulseSchedule) -> tuple[int, int]:
@@ -429,21 +436,24 @@ def gate_fidelity(u_actual: np.ndarray, u_target: np.ndarray, subspace_dim: int 
 
 def propagator_fidelity(schedule: PulseSchedule, beta: float) -> float:
     """Trace fidelity of the beta-perturbed schedule against its own ideal."""
-    return _closed_gate_metrics(schedule, [beta])[0][0]
+    return _closed_gate_metrics(schedule, [beta], schedule_propagator(schedule))[0][0]
 
 
 def leakage(schedule: PulseSchedule, beta: float = 0.0) -> float:
     """Mean population leaked out of the computational subspace (0 for two-level)."""
-    return _closed_gate_metrics(schedule, [beta])[0][1]
+    return _closed_gate_metrics(schedule, [beta], schedule_propagator(schedule))[0][1]
 
 
-def _closed_gate_metrics(schedule: PulseSchedule, betas) -> list[tuple[float, float]]:
+def _closed_gate_metrics(
+    schedule: PulseSchedule, betas, u0: np.ndarray
+) -> list[tuple[float, float]]:
     """(propagator_fidelity, leakage) at each beta from one stack of propagators,
-    u0 (beta = 0) first. Each modulus is taken alone, because numpy's
-    vectorized complex abs can differ from the scalar one in the last bit."""
-    props = schedule_propagator(schedule, np.array([0.0, *betas]))
-    traces = np.trace(props[0].conj().T @ props[1:], axis1=1, axis2=2)
-    leaks = [abs(u[2, 0]) ** 2 + abs(u[2, 1]) ** 2 if schedule.dim > 2 else 0.0 for u in props[1:]]
+    scored against the ideal propagator u0. Each modulus is taken alone,
+    because numpy's vectorized complex abs can differ from the scalar one in
+    the last bit."""
+    props = schedule_propagator(schedule, np.array(betas, dtype=float))
+    traces = np.trace(u0.conj().T @ props, axis1=1, axis2=2)
+    leaks = [abs(u[2, 0]) ** 2 + abs(u[2, 1]) ** 2 if schedule.dim > 2 else 0.0 for u in props]
     return [(float(abs(tr) / schedule.dim), float(0.5 * lk)) for tr, lk in zip(traces, leaks)]
 
 

@@ -8,12 +8,13 @@ different by construction, so the gamma -> 0 limit of the open metric does not
 join the gamma = 0 column; the gamma = 0 column is defined to match the plain
 beta sweep exactly.
 
-Sweeps run serially in one process. Each family's schedule and SRC residual
-come from one certificate, and each column of a family is propagated in
-blocks of BETA_BLOCK betas, which bounds the memory a long beta grid needs:
-the gamma = 0 column as one stack of closed-form propagators, a gamma > 0
-column as one stack of the channels of every segment at every beta of the
-block. A batched point has the same bits as a lone one.
+Sweeps run serially in one process. Each family's schedule, SRC residual and
+ideal propagator come from one certificate, the family's only beta = 0
+propagation. Each column of a family is scored against that propagator and
+propagated in blocks of BETA_BLOCK betas, which bounds the memory a long beta
+grid needs: the gamma = 0 column as one stack of closed-form propagators, a
+gamma > 0 column as one stack of the channels of every segment at every beta
+of the block. A batched point has the same bits as a lone one.
 
 CSV rows are sorted by (family, beta, gamma) and floats are written with
 repr(), so rerunning a sweep reproduces the file byte for byte.
@@ -22,13 +23,14 @@ repr(), so rerunning a sweep reproduces the file byte for byte.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .gates import FAMILIES, NAMED_GATES, GateSpec, _certified, family_build
+from .gates import FAMILIES, NAMED_GATES, GateSpec, _certified, _family_layout
 from .lindblad import _open_gate_metrics, standard_channels
 from .robustness import (
     _closed_gate_metrics,
@@ -78,6 +80,7 @@ class SweepConfig:
             if not math.isfinite(g) or g < 0:
                 raise ConfigError(f"decoherence rates must be finite and >= 0, got {g!r}")
         _reject_repeats("gamma", self.gammas)
+        _check_rate_bound(self.families, NAMED_GATES[self.gate], max(self.gammas))
 
 
 def _reject_repeats(what: str, values) -> None:
@@ -86,6 +89,20 @@ def _reject_repeats(what: str, values) -> None:
         if v in seen:
             raise ConfigError(f"{what} {v!r} is given more than once")
         seen.add(v)
+
+
+def _check_rate_bound(families, spec: GateSpec, gamma: float) -> None:
+    """A ConfigError if gamma times a segment duration of a family's schedule
+    overflows, which would make that segment's channel generator infinite.
+    Segments run at unit amplitude, so their durations are the layout's areas."""
+    for fam in families:
+        longest = max(_family_layout(fam, spec)[0], default=0.0)
+        bound = sys.float_info.max / longest if longest else math.inf
+        if gamma > bound:
+            raise ConfigError(
+                f"decoherence rate {gamma!r} exceeds {bound!r}, the largest float "
+                f"divided by the longest {fam} segment duration {longest!r}"
+            )
 
 
 def _check_families(families) -> None:
@@ -126,7 +143,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     certified = {family: _certified(family, spec) for family in config.families}
     rows = []
     for family in sorted(config.families):
-        schedule, sol = certified[family]
+        schedule, sol, u0 = certified[family]
         src = sol.residual_src
         columns = []
         for gamma in gammas:
@@ -138,7 +155,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             columns.append([
                 point
                 for i in range(0, len(betas), BETA_BLOCK)
-                for point in metrics(betas[i:i + BETA_BLOCK])
+                for point in metrics(betas[i:i + BETA_BLOCK], u0)
             ])
         for i, beta in enumerate(betas):
             for gamma, column in zip(gammas, columns):
@@ -206,10 +223,12 @@ def deltas_to_csv(drows: list[tuple[str, float, float, float]]) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    """Write an output file; an unwritable path (e.g. a missing directory) is a ConfigError."""
+    """Write an output file as its ASCII bytes (binary mode, so no text codec is
+    looked up); an unwritable path (e.g. a missing directory) is a ConfigError."""
+    data = text.encode("ascii")
     try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path!r}: {exc.strerror or exc}") from exc
 
@@ -229,11 +248,11 @@ def report_table1() -> str:
     )
     lines = [header, "-" * len(header)]
     for family in FAMILIES:
-        schedule = family_build(family, spec)
+        schedule, _, u0 = _certified(family, spec)
         dur = f"{schedule.duration / math.pi:.4g}*pi"
         quadratic = family in QUADRATIC_TARGETS
         betas = np.linspace(-0.05, 0.05, 21) if quadratic else np.linspace(0.02, 0.1, 9)
-        infs = np.array([1.0 - fid for fid, _ in _closed_gate_metrics(schedule, betas)])
+        infs = np.array([1.0 - fid for fid, _ in _closed_gate_metrics(schedule, betas, u0)])
         if quadratic:
             coeff = quadratic_coefficient(betas, infs)
             target = QUADRATIC_TARGETS[family]
@@ -266,7 +285,7 @@ def check_src_report(families=FAMILIES, gate: str = "not") -> tuple[str, bool]:
     lines = [f"{'family':<9} {'closed form':<14} {'numeric':<14} {'difference':<12} status"]
     all_ok = True
     for family in families:
-        schedule, sol = _certified(family, spec)
+        schedule, sol, _ = _certified(family, spec)
         closed = sol.residual_src
         numeric = abs(complex(d_matrix(schedule)[_src_element(schedule)]))
         agree = abs(closed - numeric)

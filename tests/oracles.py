@@ -21,9 +21,11 @@ here, one matrix at a time with Python floats, as bit references for the
 package's broadcasting rotation kernel; so is the per-segment channel
 construction (per-beta segment_hamiltonian, one lindblad_rhs and one _expm
 call per segment), as the bit reference for the stack of every segment's
-channels. The Hermitian and unitarity checks the integrator applies live here
-too, since only the references use them, and so does the
-list of reachable (family, gate) pairs.
+channels. The certificate's residuals and the open-system scores are also
+kept here in the numpy form the package used before it summed the residuals
+in Python arithmetic and scored a block of betas at once. The Hermitian and
+unitarity checks the integrator applies live here too, since only the
+references use them, and so does the list of reachable (family, gate) pairs.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ from georobust import (
     NAMED_GATES,
     InvariantError,
     bright_dark,
+    cardinal_states,
     frame_anchor,
     lindblad_rhs,
     segment_hamiltonian,
 )
 from georobust.lindblad import _expm
+from georobust.robustness import SRC_ALIGNMENT_TOL
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-9
@@ -163,27 +167,20 @@ def _sample(hamiltonian, t: float) -> np.ndarray:
     return ham
 
 
-def propagate_unitary(hamiltonian, grid: TimeGrid, return_trajectory: bool = False):
+def propagate_unitary(hamiltonian, grid: TimeGrid) -> np.ndarray:
     """Time-ordered propagator U(t_end, t_start) for H(t) = hamiltonian(t).
 
     Each step multiplies on the left by exp(-1j * H(t_mid) * dt) with t_mid the
-    step midpoint. With return_trajectory=True, returns (times, traj) where
-    traj[k] is U(times[k], t_start), traj[0] = identity.
+    step midpoint.
     """
     dt = grid.step
     times = grid.times
     ham0 = _sample(hamiltonian, times[0] + dt / 2.0)
-    dim = ham0.shape[0]
-    u = np.eye(dim, dtype=complex)
-    traj = [u] if return_trajectory else None
+    u = np.eye(ham0.shape[0], dtype=complex)
     for k in range(grid.steps):
         ham = ham0 if k == 0 else _sample(hamiltonian, times[k] + dt / 2.0)
         u = mat_exp_hermitian(ham, dt) @ u
-        if return_trajectory:
-            traj.append(u)
     check_unitary(u, UNITARY_TOL, name="propagator")
-    if return_trajectory:
-        return times, np.array(traj)
     return u
 
 
@@ -365,3 +362,53 @@ def kron_liouvillian(ham, channels=()) -> np.ndarray:
         gen = gen + ch.rate * (np.kron(op, op.conj()) - 0.5 * np.kron(opdop, eye)
                                - 0.5 * np.kron(eye, opdop.T))
     return gen
+
+
+def numpy_src_phasors(schedule) -> np.ndarray:
+    """src_phasors with the pole parities and phasor angles as numpy arrays:
+    alpha = anchor + cumsum(areas) at the interior boundaries, rounded to
+    multiples of pi. ValueError off the poles."""
+    if not schedule.segments:
+        return np.zeros(0, dtype=complex)
+    areas = np.array([s.area for s in schedule.segments])
+    m = (frame_anchor(schedule) + np.cumsum(areas)[:-1]) / math.pi
+    if np.any(np.abs(m - np.round(m)) > SRC_ALIGNMENT_TOL):
+        raise ValueError("phase jumps are not aligned with frame poles")
+    parities = np.round(m).astype(int)
+    sign = 1.0 if schedule.system == "two" else -1.0
+    eff = sign * np.array([s.phase for s in schedule.segments])
+    theta_ph = np.empty(len(eff))
+    theta_ph[0] = eff[0]
+    for j in range(1, len(eff)):
+        flip = -1.0 if parities[j - 1] % 2 else 1.0
+        theta_ph[j] = theta_ph[j - 1] + flip * (eff[j] - eff[j - 1])
+    return 0.5 * areas * np.exp(1j * theta_ph)
+
+
+def numpy_gate_residual(u: np.ndarray, target: np.ndarray) -> float:
+    """The certificate's residual_gate by numpy: the distance of the
+    computational block of u to the 2x2 target after aligning its global
+    phase by the angle of the trace overlap, stacked with the leakage
+    elements of a 3x3 u."""
+    block = u[:2, :2]
+    tr = np.trace(target.conj().T @ block)
+    chi = np.angle(tr) if abs(tr) > 1e-12 else 0.0
+    parts = [(block - np.exp(1j * chi) * target).ravel()]
+    if u.shape[0] == 3:
+        parts.extend([u[2, :2], u[:2, 2]])
+    return float(np.linalg.norm(np.concatenate(parts)))
+
+
+def open_scores_per_beta(u0: np.ndarray, rho_stack: np.ndarray) -> list[tuple[float, float]]:
+    """(average fidelity, average leakage) of each beta's six final cardinal
+    states in rho_stack (betas, 6, d, d), scored one beta at a time against
+    the targets u0 |psi_k>."""
+    dim = u0.shape[0]
+    targets = cardinal_states(dim) @ u0.T
+    out = []
+    for rho_tau in rho_stack:
+        fid = np.einsum("ki,kij,kj->k", targets.conj(), rho_tau, targets).real
+        pops = np.einsum("kii->ki", rho_tau).real
+        leak = pops[:, 2:].sum(axis=1) if dim > 2 else np.zeros(len(targets))
+        out.append((float(fid.mean()), float(leak.mean())))
+    return out

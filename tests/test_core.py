@@ -120,15 +120,6 @@ def test_propagate_unitary_second_order_convergence():
     assert 3.5 < err[1] / err[2] < 4.5
 
 
-def test_propagate_unitary_trajectory():
-    times, traj = propagate_unitary(rotating_field, TimeGrid(0.0, 1.0, 50), return_trajectory=True)
-    assert traj.shape == (51, 2, 2)
-    np.testing.assert_allclose(traj[0], np.eye(2), atol=0)
-    u = propagate_unitary(rotating_field, TimeGrid(0.0, 1.0, 50))
-    np.testing.assert_allclose(traj[-1], u, atol=1e-12)
-    assert times[0] == 0.0 and times[-1] == 1.0
-
-
 def test_propagate_rejects_nonfinite_hamiltonian():
     def bad(t):
         return np.full((2, 2), np.nan)

@@ -30,7 +30,7 @@ from georobust import (
 )
 from georobust import lindblad
 from georobust.lindblad import _expm, _open_gate_metrics, _propagate, _segment_channels
-from oracles import FEASIBLE_PAIRS, kron_liouvillian, segment_channels
+from oracles import FEASIBLE_PAIRS, kron_liouvillian, open_scores_per_beta, segment_channels
 
 NOT = GateSpec.not_gate()
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -310,9 +310,24 @@ def test_batched_open_metrics_match_single_beta():
         sched = family_build(fam, NAMED_GATES[gate])
         for gamma in (1e-4, 1e-2):
             chans = standard_channels(sched.system, gamma, gamma)
-            batched = _open_gate_metrics(sched, chans, betas)
+            batched = _open_gate_metrics(sched, chans, betas, schedule_propagator(sched))
             single = [open_gate_metrics(sched, chans, beta=b) for b in betas]
             assert batched == single, (fam, gate, gamma)
+
+
+@pytest.mark.parametrize("fam,gate", FEASIBLE_PAIRS)
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@given(log_gamma=st.floats(min_value=-5.0, max_value=1.0),
+       betas=st.lists(st.floats(min_value=-0.1, max_value=0.1), min_size=1, max_size=64))
+def test_block_scoring_matches_per_beta_loop(fam, gate, log_gamma, betas):
+    # one einsum over the block scores each beta with the bits of the
+    # per-beta loop, at rates from 1e-5 (near-ideal) to 10 (relaxed)
+    sched = family_build(fam, NAMED_GATES[gate])
+    u0 = schedule_propagator(sched)
+    chans = standard_channels(sched.system, 10.0**log_gamma, 10.0**log_gamma)
+    block = _open_gate_metrics(sched, chans, betas, u0)
+    loop = open_scores_per_beta(u0, _propagate(sched, cardinal_densities(sched.dim), chans, betas))
+    assert np.array_equal(np.array(block), np.array(loop))
 
 
 def test_exact_channel_matches_kron_liouvillian():

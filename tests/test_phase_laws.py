@@ -16,17 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from georobust import (
+    FAMILIES,
     NAMED_GATES,
     SR_FAMILIES,
+    ConfigError,
     GateSpec,
     SolverError,
     dynamical_integrals,
     family_build,
     leakage,
+    schedule_propagator,
     solve_phase_jumps,
     src_residual,
+    target_unitary,
 )
-from oracles import FEASIBLE_PAIRS
+from georobust.gates import CERTIFICATE_TOL, _certificate
+from oracles import FEASIBLE_PAIRS, numpy_gate_residual
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -105,3 +110,21 @@ def test_sr_ngqc_refuses_outside_its_class_without_propagating(spec):
 @pytest.mark.parametrize("family,gate", FEASIBLE_PAIRS)
 def test_named_gates_are_certified(family, gate):
     check_certified(family, NAMED_GATES[gate])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@PROPERTY
+@given(spec=any_spec)
+def test_scalar_residual_matches_numpy_construction(family, spec):
+    # the certificate sums residual_gate in Python complex arithmetic; the
+    # numpy construction agrees to roundoff and on the verdict, and the
+    # propagator it hands on is the schedule's own
+    try:
+        sched, sol, u0 = _certificate(family, spec)
+    except (ConfigError, SolverError):
+        return
+    reference = numpy_gate_residual(u0, target_unitary(spec))
+    assert abs(sol.residual_gate - reference) <= 1e-14, (family, spec)
+    src_ok = sol.residual_src <= CERTIFICATE_TOL or family not in SR_FAMILIES
+    assert sol.converged == (reference <= CERTIFICATE_TOL and src_ok)
+    assert np.array_equal(u0, schedule_propagator(sched))

@@ -45,6 +45,7 @@ from oracles import (
     gauss_legendre_error_integrals,
     hamiltonian,
     mat_exp_hermitian,
+    numpy_src_phasors,
     reference_frame,
     sampled_dynamical_integrals,
     sampled_frames,
@@ -236,6 +237,23 @@ def test_sr_families_satisfy_the_condition(not_schedules):
         assert abs(src_residual(not_schedules[fam])) < 1e-6, fam
     for fam in ("dg", "ngqc", "nhqc"):
         assert abs(src_residual(not_schedules[fam])) > 1e-2, fam
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(system=st.sampled_from(["two", "lambda"]),
+       poles=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=9),
+       phases=st.lists(st.floats(min_value=-7.0, max_value=7.0), min_size=9, max_size=9),
+       amplitude=st.floats(min_value=0.25, max_value=4.0),
+       anchor=st.integers(min_value=0, max_value=3),
+       theta=st.floats(min_value=0.0, max_value=math.pi))
+def test_src_residual_matches_numpy_construction(system, poles, phases, amplitude, anchor, theta):
+    # segments of k pi area (to rounding) keep every interior boundary on a
+    # pole; the Python-float parities and angles give the numpy bits
+    segs = tuple(PulseSegment(k * math.pi / amplitude, amplitude, p) for k, p in zip(poles, phases))
+    sched = PulseSchedule(system, segs, theta=anchor * math.pi if system == "two" else theta)
+    reference = numpy_src_phasors(sched)
+    assert np.array_equal(src_phasors(sched), reference)
+    assert src_residual(sched) == complex(reference.sum())
 
 
 def test_src_fallback_warns_on_misaligned_jumps():
@@ -567,7 +585,7 @@ def test_closed_gate_metrics_match_one_beta_calls():
     for family, gate in FEASIBLE_PAIRS:
         sched = family_build(family, NAMED_GATES[gate])
         u0 = schedule_propagator(sched)
-        points = robustness._closed_gate_metrics(sched, betas)
+        points = robustness._closed_gate_metrics(sched, betas, u0)
         assert len(points) == len(betas)
         for beta, point in zip(betas.tolist(), points):
             u = schedule_propagator(sched, beta)

@@ -1,6 +1,10 @@
 """Sweep configuration, CSV output, the delta companion, and the CLI."""
 
+import contextlib
+import io
 import math
+import sys
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from georobust import (
+    FAMILIES,
     ConfigError,
     SweepConfig,
     beta_grid,
@@ -143,6 +148,26 @@ def test_each_family_is_assembled_and_src_checked_once(command, families, monkey
     command()
     capsys.readouterr()
     assert sorted(calls) == ["assemble_schedule"] * families + ["src_residual"] * families
+
+
+def test_open_sweep_propagates_each_family_once_at_zero_beta(monkeypatch):
+    # the certificate's U0 serves the gamma = 0 column and the open targets
+    import georobust
+
+    ideal = []
+
+    def counted(real):
+        def wrapper(schedule, beta=0.0):
+            if np.ndim(beta) == 0:
+                ideal.append(schedule)
+            return real(schedule, beta)
+        return wrapper
+
+    for mod in (georobust.gates, georobust.robustness, georobust.lindblad):
+        monkeypatch.setattr(mod, "schedule_propagator", counted(mod.schedule_propagator))
+    rows = run_sweep(SweepConfig(families=("ngqc", "sr-nhqc"), gammas=(0.0, 1e-3), **SMALL))
+    assert len(rows) == 20
+    assert sorted(s.system for s in ideal) == ["lambda", "two"]
 
 
 def test_run_sweep_row_order_and_repeatability():
@@ -315,6 +340,60 @@ def test_cli_sweep_beta_deterministic_file(tmp_path, capsys):
     rc = main(argv[:-2])  # stdout instead of --out
     assert rc == 0
     assert capsys.readouterr().out.encode() == first
+
+
+@pytest.mark.parametrize("flag", ["--beta-min", "--beta-max"])
+def test_cli_negative_beta_in_exponent_form(tmp_path, capsys, flag):
+    # "-1e-3" is a value, with or without "=", like "-0.001"
+    bounds = {"--beta-min": "-2e-3", "--beta-max": "1e-3"}
+    outputs = []
+    for spelled in ([flag, "-1e-3"], [f"{flag}=-1e-3"], [flag, "-0.001"]):
+        other = "--beta-max" if flag == "--beta-min" else "--beta-min"
+        out = tmp_path / f"sweep{len(outputs)}.csv"
+        argv = ["sweep-beta", "--families", "dg", "--beta-points", "3", *spelled,
+                other, bounds[other], "--out", str(out)]
+        assert main(argv) == 0, argv
+        outputs.append(out.read_bytes())
+    assert capsys.readouterr().err == ""
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert b"dg,-0.001," in outputs[0]
+
+
+@pytest.mark.parametrize("gate,longest", [("not", math.pi), ("x90", math.pi / 2)])
+def test_cli_refuses_rate_past_overflow_bound(tmp_path, capsys, monkeypatch, gate, longest):
+    # gamma * duration must stay finite: the bound is the largest float over
+    # the longest segment, refused as bad input before anything is propagated
+    import georobust
+
+    bound = sys.float_info.max / longest
+    out = tmp_path / "grid.csv"
+    argv = ["sweep-grid", "--families", "dg", "--gate", gate, "--beta-points", "1",
+            "--out", str(out)]
+    with monkeypatch.context() as patched:
+        patched.setattr(georobust.gates, "schedule_propagator", None)  # calling it fails
+        for gamma in (math.nextafter(bound, math.inf),
+                      1e308 if gate == "not" else sys.float_info.max):
+            assert main([*argv, "--gamma", f"0,{gamma!r}"]) == 4
+            err = capsys.readouterr().err
+            assert f"exceeds {bound!r}" in err and "dg segment duration" in err
+            assert "overflow" not in err
+            assert not out.exists()
+    with pytest.raises(ConfigError, match="exceeds"):
+        SweepConfig(families=("nhqc", "dg"), gammas=(6e307,))
+    assert main([*argv, "--gamma", repr(bound)]) == 0
+    rows = out.read_text(encoding="ascii").splitlines()[1:]
+    assert len(rows) == 1 and float(rows[0].split(",")[3]) == pytest.approx(0.5)
+
+
+def test_cli_large_finite_rate_gives_finite_rows(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    argv = ["sweep-grid", "--families", "dg,sr-nhqc", "--beta-points", "2", "--gamma", "0,1e300",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text(encoding="ascii").splitlines()[1:]]
+    assert len(rows) == 8
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
 
 
 def test_cli_sweep_beta_rejects_bad_points(capsys):
@@ -491,3 +570,88 @@ def canonical_sweep_csv() -> str:
 def test_sweep_csv_does_not_depend_on_input_order(families, gammas):
     rows = run_sweep(SweepConfig(families=tuple(families), gammas=tuple(gammas), **ORDER_GRID))
     assert rows_to_csv(rows) + deltas_to_csv(delta_rows(rows)) == canonical_sweep_csv()
+
+
+FAMILY_LISTS = ["dg", "sr-nhqc", "ngqc,sr-ngqc", "nhqc,dg", ",".join(FAMILIES), "bogus", "",
+                "dg,dg"]
+GATES = [*sorted(NAMED_GATES), "swap"]
+SPECIAL_NUMBERS = ["-1e-3", "1e-3", "-1E-2", "-0.1", "0", "-.05", "nan", "inf", "-inf", "x"]
+BETA_MIN = st.one_of(st.floats(min_value=-0.6, max_value=0.1).map(repr),
+                     st.sampled_from(SPECIAL_NUMBERS))
+BETA_MAX = st.one_of(st.floats(min_value=-0.1, max_value=0.6).map(repr),
+                     st.sampled_from(SPECIAL_NUMBERS))
+POINTS = st.sampled_from(["1", "2", "3", "0", "-1", "1e3", "x"])
+GAMMAS = st.sampled_from(["0", "0,1e-4", "1e-5,2000", "0,1e300", "1e308", "-1e-4", "nan", "inf",
+                          "0,0", "1e-4,-0", "x", ""])
+CONFIGS = {
+    "good": "families = dg, ngqc\nbeta_points = 2\ngamma = 0, 1e-4\n",
+    "bad-key": "color = red\n",
+    "bad-int": "beta_points = three\n",
+    "negative": "beta_min = -1e-3\nbeta_max = 1e-3\nbeta_points = 2\n",
+}
+# most argv are well formed; the rest carry one fault
+FAULTS = ["none"] * 5 + ["value missing", "unknown flag", "required flag missing"]
+
+
+@st.composite
+def cli_argv(draw, root):
+    """A random argv over every documented subcommand and flag, with values
+    valid or not; --beta-points stays at most 3, so each call is quick."""
+    command = draw(st.sampled_from(["build", "sweep-beta", "sweep-grid", "report-table1",
+                                    "check-src"]))
+    out = str(root / draw(st.sampled_from(["out.csv", "out.csv", "missing/out.csv"])))
+    config = str(root / draw(st.sampled_from([*CONFIGS, "good", "negative", "absent"])))
+    families = st.sampled_from(FAMILY_LISTS)
+    sweep_flags = {
+        "--families": families, "--family": families, "--gate": st.sampled_from(GATES),
+        "--beta-min": BETA_MIN, "--beta-max": BETA_MAX, "--beta-points": POINTS,
+        "--config": st.just(config),
+    }
+    optional, required = {
+        "build": ({"--gate": st.sampled_from(GATES), "--out": st.just(out)},
+                  {"--family": st.sampled_from([*FAMILIES, "bogus"])}),
+        "sweep-beta": ({**sweep_flags, "--out": st.just(out)}, {}),
+        "sweep-grid": ({**sweep_flags, "--gamma": GAMMAS, "--gammas": GAMMAS},
+                       {"--out": st.just(out)}),
+        "report-table1": ({}, {}),
+        "check-src": ({"--families": families, "--family": families,
+                       "--gate": st.sampled_from(GATES)}, {}),
+    }[command]
+    fault = draw(st.sampled_from(FAULTS))
+    chosen = [flag for flag in optional if draw(st.booleans())]
+    if fault != "required flag missing":
+        chosen += list(required)
+    argv = [command]
+    for flag in chosen:
+        argv += [flag, draw({**optional, **required}[flag])]
+    if command.startswith("sweep") and "--beta-points" not in chosen:
+        argv += ["--beta-points", draw(st.sampled_from(["1", "2", "3"]))]
+    if fault == "value missing" and len(argv) > 1:
+        argv.pop()
+    elif fault == "unknown flag":
+        argv += ["--jobs", "2"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def probe_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv-probe")
+    for name, text in CONFIGS.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_cli_argv_probe(probe_root, data):
+    # any argv over the documented flags ends in a documented exit code, with
+    # a one-line reason on stderr and never a traceback or a numpy warning
+    argv = data.draw(cli_argv(probe_root))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), argv
+    assert [str(w.message) for w in caught] == [], argv
